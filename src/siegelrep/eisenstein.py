@@ -23,12 +23,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .classnumbers import cohen_h_level
+from .classnumbers import class_divisor_sum
 from .exactmath import (
     decompose_discriminant,
     divisors,
+    is_prime,
     is_squarefree,
     kronecker_symbol,
+    l_negative,
     prime_divisors,
     valuation,
     zeta_negative,
@@ -147,6 +149,9 @@ class LocalOrders:
     v: int
     chi: int
 
+    def __post_init__(self) -> None:
+        _require_prime(self.p)
+
 
 @lru_cache(maxsize=None)
 def partitions_of_level(level: int) -> tuple[LevelPartition, ...]:
@@ -225,39 +230,78 @@ def fourier_coefficient(spec: EisensteinSpec, mat: HalfIntegralMatrix) -> Fracti
     with a power-divisor sum; definite matrices use the class-number divisor
     sum over divisors of the content coprime to the level.
     """
-    k = spec.k
     part = spec.partition
-    level = part.level
     if mat.is_zero:
         return Fraction(1) if part.n1 == 1 and part.n2 == 1 else Fraction(0)
-    content = mat.content
-    if mat.delta == 0:
-        factor = Fraction(1)
-        for i, block in enumerate(part.as_tuple()):
-            for p in prime_divisors(block):
-                factor *= singular_local_factor(i, p, valuation(p, content), k)
-        power_sum = sum(d ** (k - 1) for d in divisors(content) if math.gcd(d, level) == 1)
-        return factor * Fraction(2) / zeta_negative(k) * power_sum
-    dec = decompose_discriminant(mat.delta)
-    factor = Fraction(1)
-    for i, block in enumerate(part.as_tuple()):
-        for p in prime_divisors(block):
-            orders = LocalOrders(p, valuation(p, content), valuation(p, dec.conductor),
-                                 kronecker_symbol(dec.disc, p))
-            factor *= definite_local_factor(i, orders, k)
-    class_sum = sum(
-        d ** (k - 1) * cohen_h_level(level, k, mat.delta // (d * d))
-        for d in divisors(content) if math.gcd(d, level) == 1
-    )
-    return factor * Fraction(2) / (zeta_negative(k) * zeta_negative(2 * k - 2)) * class_sum
+    delta = mat.delta
+    if delta == 0:
+        local, num, den = _singular_terms(part.level, spec.k, mat.content)
+    else:
+        local, num, den = _definite_terms(part.level, spec.k, delta, mat.content)
+    # Only the slot of each prime depends on the partition.  Factors are
+    # multiplied as numerator and denominator ints; the one Fraction built
+    # is the value itself.
+    for p, by_slot in local:
+        factor = by_slot[0 if part.n0 % p == 0 else 1 if part.n1 % p == 0 else 2]
+        num *= factor.numerator
+        den *= factor.denominator
+    return Fraction(num, den)
+
+
+@lru_cache(maxsize=None)
+def _singular_terms(level: int, k: int, content: int) -> tuple[tuple, int, int]:
+    """Rank 1 coefficient data shared by every partition of the level: each
+    prime of the level with its local factor in slots 0, 1, 2, and
+    2 / zeta(1 - k) times the power-divisor sum as (numerator, denominator)."""
+    local = tuple((p, tuple(singular_local_factor(i, p, valuation(p, content), k)
+                            for i in range(3)))
+                  for p in prime_divisors(level))
+    power_sum = sum(d ** (k - 1) for d in divisors(content) if math.gcd(d, level) == 1)
+    zeta = zeta_negative(k)
+    return local, 2 * power_sum * zeta.denominator, zeta.numerator
+
+
+@lru_cache(maxsize=None)
+def _definite_terms(level: int, k: int, delta: int, content: int) -> tuple[tuple, int, int]:
+    """Definite coefficient data shared by every partition of the level: each
+    prime of the level with its local factor in slots 0, 1, 2, and
+    2 L(2 - k, chi_D) / (zeta(1 - k) zeta(3 - 2k)) times the integer
+    class-number divisor sum as (numerator, denominator).
+
+    Every -delta / d^2 in the divisor sum has the same fundamental
+    discriminant D, so the L-value factors out of the class-number sums.
+    """
+    dec = decompose_discriminant(delta)
+    disc, conductor = dec.disc, dec.conductor
+    local = []
+    for p in prime_divisors(level):
+        orders = LocalOrders(p, valuation(p, content), valuation(p, conductor),
+                             kronecker_symbol(disc, p))
+        local.append((p, tuple(definite_local_factor(i, orders, k) for i in range(3))))
+    class_sum = sum(d ** (k - 1) * class_divisor_sum(level, k, disc, conductor // d)
+                    for d in divisors(content) if math.gcd(d, level) == 1)
+    const = _definite_constant(k, disc)
+    return tuple(local), class_sum * const.numerator, const.denominator
+
+
+@lru_cache(maxsize=None)
+def _definite_constant(k: int, disc: int) -> Fraction:
+    """2 L(2 - k, chi_disc) / (zeta(1 - k) zeta(3 - 2k))."""
+    return 2 * l_negative(k - 1, disc) / (zeta_negative(k) * zeta_negative(2 * k - 2))
+
+
+def _require_prime(p: int) -> None:
+    if not is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
 
 
 def raise_level(a_t, a_pt, a_p2t, p: int, k: int) -> tuple[Fraction, Fraction, Fraction]:
     """Split a level N coefficient triple (a(T), a(pT), a(p^2 T)) into the
     coefficients at T of the three level Np basis series, in slot order.
 
-    The three outputs always sum back to a(T).
+    The three outputs always sum back to a(T).  p must be prime.
     """
+    _require_prime(p)
     a_t, a_pt, a_p2t = Fraction(a_t), Fraction(a_pt), Fraction(a_p2t)
     den = (p**k - 1) * (p ** (2 * k - 2) - 1)
     low = _ipow(p, 4 - k)
@@ -275,7 +319,8 @@ def raise_level(a_t, a_pt, a_p2t, p: int, k: int) -> tuple[Fraction, Fraction, F
     return (out0 / den, out1 / den, out2 / den)
 
 
-def _require_divides(spec: EisensteinSpec, p: int, should_divide: bool) -> None:
+def _require_prime_divides(spec: EisensteinSpec, p: int, should_divide: bool) -> None:
+    _require_prime(p)
     divides = spec.partition.level % p == 0
     if divides != should_divide:
         verb = "must" if should_divide else "must not"
@@ -288,7 +333,7 @@ def hecke_tp(spec: EisensteinSpec, p: int, mat: HalfIntegralMatrix) -> Fraction:
 
     Transform terms that leave the half-integral lattice contribute 0.
     """
-    _require_divides(spec, p, False)
+    _require_prime_divides(spec, p, False)
     k = spec.k
     total = fourier_coefficient(spec, mat.scaled(p))
     mid = Fraction(0)
@@ -315,14 +360,14 @@ def _scaled_transform(t: HalfIntegralMatrix, mat, p: int) -> HalfIntegralMatrix 
 
 def hecke_up(spec: EisensteinSpec, p: int, mat: HalfIntegralMatrix) -> Fraction:
     """Coefficient action of U(p) for p dividing the level: a(pT)."""
-    _require_divides(spec, p, True)
+    _require_prime_divides(spec, p, True)
     return fourier_coefficient(spec, mat.scaled(p))
 
 
 def hecke_u1p2(spec: EisensteinSpec, p: int, mat: HalfIntegralMatrix) -> Fraction:
     """Coefficient action of U_1(p^2) for p dividing the level: the p + 1
     term sum over the degree p column transforms."""
-    _require_divides(spec, p, True)
+    _require_prime_divides(spec, p, True)
     total = Fraction(0)
     for alpha in range(p):
         total += fourier_coefficient(spec, mat.transformed(((1, 0), (alpha, p))))

@@ -2,8 +2,9 @@
 
 Scalars are plain ints and fractions.Fraction (always in lowest terms with a
 positive denominator, so equality is bit-exact); nothing in this module ever
-touches floating point.  All functions are pure, and the lru_cache memo
-tables behind the slower ones are safe to share between threads.
+touches floating point.  The only array is a table of character values in
+{-1, 0, 1}.  All functions are pure, and the lru_cache memo tables behind
+the slower ones are safe to share between threads.
 """
 
 from __future__ import annotations
@@ -12,6 +13,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
+
+import numpy as np
 
 __all__ = [
     "Rational",
@@ -19,7 +23,6 @@ __all__ = [
     "Factorization",
     "FundamentalDecomposition",
     "bernoulli",
-    "bernoulli_polynomial",
     "zeta_negative",
     "kronecker_symbol",
     "decompose_discriminant",
@@ -33,6 +36,7 @@ __all__ = [
     "valuation",
     "gcd3",
     "is_squarefree",
+    "is_prime",
 ]
 
 Rational = Fraction
@@ -82,15 +86,6 @@ def bernoulli(n: int) -> Fraction:
     for j in range(n):
         acc += math.comb(n + 1, j) * bernoulli(j)
     return -acc / (n + 1)
-
-
-def bernoulli_polynomial(n: int, x: Fraction) -> Fraction:
-    """B_n(x) = sum_j binom(n, j) B_j x^(n - j), evaluated exactly."""
-    x = Fraction(x)
-    acc = Fraction(0)
-    for j in range(n + 1):
-        acc += math.comb(n, j) * bernoulli(j) * x ** (n - j)
-    return acc
 
 
 def zeta_negative(k: int) -> Fraction:
@@ -192,6 +187,10 @@ def is_squarefree(n: int) -> bool:
     return all(a == 1 for _, a in factorize(n).pairs)
 
 
+def is_prime(n: int) -> bool:
+    return n >= 2 and factorize(n).pairs == ((n, 1),)
+
+
 @lru_cache(maxsize=None)
 def decompose_discriminant(delta: int) -> FundamentalDecomposition:
     """Split -delta into D * f**2 with D a fundamental discriminant.
@@ -226,21 +225,58 @@ def is_fundamental_discriminant(d: int) -> bool:
     return False
 
 
+def _character_table(disc: int) -> np.ndarray:
+    """chi_disc(a) for a = 1..|disc|, as int8.
+
+    A fundamental discriminant is a product of prime discriminants, and its
+    character is the product of theirs.  By quadratic reciprocity the factor
+    of an odd prime p is the Legendre symbol (a / p), read off the squares
+    mod p; the 2-part (-4, 8 or -8) has period 8.
+    """
+    q = abs(disc)
+    a = np.arange(1, q + 1)
+    chi = np.ones(q, dtype=np.int8)
+    odd_part = 1
+    for p, _ in factorize(q).pairs:
+        if p == 2:
+            continue
+        legendre = np.full(p, -1, dtype=np.int8)
+        legendre[0] = 0
+        legendre[np.arange(1, p) ** 2 % p] = 1
+        chi *= legendre[a % p]
+        odd_part *= p if p % 4 == 1 else -p
+    if q % 2 == 0:
+        two_part = disc // odd_part
+        period = np.array([kronecker_symbol(two_part, r) for r in range(1, 9)], dtype=np.int8)
+        chi *= period[(a - 1) % 8]
+    return chi
+
+
 @lru_cache(maxsize=None)
 def generalized_bernoulli(n: int, disc: int) -> Fraction:
     """Generalized Bernoulli number for the quadratic character of
-    discriminant disc: |D|^(n-1) * sum_a chi(a) B_n(a / |D|)."""
+    discriminant disc: |D|^(n-1) * sum_a chi(a) B_n(a / |D|).
+
+    Expanding B_n(x) = sum_j binom(n, j) B_j x^(n-j) gives
+    sum_j binom(n, j) B_j |D|^(j-1) S_(n-j) with the integer power sums
+    S_e = sum_a chi(a) a^e, so the residues only ever meet ints and there is
+    one Fraction per j.
+    """
     if n < 1:
         raise ValueError("generalized_bernoulli needs n >= 1")
     if not is_fundamental_discriminant(disc):
         raise ValueError(f"{disc} is not a fundamental discriminant")
     q = abs(disc)
-    acc = Fraction(0)
-    for a in range(1, q + 1):
-        chi = kronecker_symbol(disc, a)
-        if chi:
-            acc += chi * bernoulli_polynomial(n, Fraction(a, q))
-    return q ** (n - 1) * acc
+    chi = _character_table(disc)
+    residues = np.arange(1, q + 1)
+    plus = residues[chi == 1].tolist()
+    minus = residues[chi == -1].tolist()
+    sums = [sum(map(pow, plus, repeat(e))) - sum(map(pow, minus, repeat(e)))
+            for e in range(n + 1)]
+    acc = Fraction(sums[n], q)
+    for j in range(1, n + 1):
+        acc += math.comb(n, j) * bernoulli(j) * q ** (j - 1) * sums[n - j]
+    return acc
 
 
 def l_negative(n: int, disc: int) -> Fraction:

@@ -8,10 +8,12 @@ lower-triangular tuples and decoded on demand.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
+from types import MappingProxyType
 
 from .eisenstein import (
     EisensteinSpec,
@@ -116,13 +118,15 @@ class GramMatrix:
 @dataclass(frozen=True)
 class LatticeProfile:
     """Genus invariants of an even lattice: minimal level, determinant,
-    character triviality, and local data at the primes of the level."""
+    character triviality, and local data at the primes of the level.
+
+    profile() caches these, so the two mappings are read-only views."""
 
     level: int
     determinant: int
     character_trivial: bool
-    hasse: dict[int, int]
-    d_powers: dict[int, int]
+    hasse: Mapping[int, int]
+    d_powers: Mapping[int, int]
 
 
 def _inverse(rows):
@@ -159,7 +163,8 @@ def profile(gram: GramMatrix) -> LatticeProfile:
     trivial = signed > 0 and math.isqrt(signed) ** 2 == signed
     hasse = {p: hasse_invariant(gram, p) for p in prime_divisors(level)}
     d_powers = {p: p ** valuation(p, det) for p in prime_divisors(level)}
-    return LatticeProfile(level, det, trivial, hasse, d_powers)
+    return LatticeProfile(level, det, trivial, MappingProxyType(hasse),
+                          MappingProxyType(d_powers))
 
 
 def _unit_split(x: Fraction, p: int) -> tuple[int, Fraction]:

@@ -119,7 +119,10 @@ def _enumerate(rows: tuple[tuple[int, ...], ...], max_norm: int) -> dict[int, np
     out: dict[int, np.ndarray] = {}
     for norm, vecs in hits.items():
         arr = np.array(vecs, dtype=np.int64)
-        out[norm] = np.concatenate([arr, -arr])
+        shell = np.concatenate([arr, -arr])
+        # shells() hands these cached arrays to every caller.
+        shell.flags.writeable = False
+        out[norm] = shell
     return out
 
 

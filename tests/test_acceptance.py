@@ -6,6 +6,8 @@ enumeration cost and shares its data with criteria 2 and 8 through a
 module-scoped fixture.
 """
 
+from math import isqrt
+
 import pytest
 
 from siegelrep.eisenstein import (
@@ -120,3 +122,37 @@ def test_criterion_8_integrality(five_lattice_data):
         if value.denominator != 1 or value < 0
     ]
     _report("criterion 8 (integrality of genus values)", failures)
+
+
+# dim M_8(Sp_4(Z)) = 1, so the degree 2 theta series of E8 + E8 is the level 1
+# weight 8 Eisenstein series.
+WEIGHT8_MATRICES = [HalfIntegralMatrix(*t) for t in
+                    ((1, 0, 0), (1, 1, 1), (1, 0, 1), (2, 1, 1), (2, 0, 1), (2, 2, 2), (2, 1, 2))]
+
+
+def _e8_squared_count(t: HalfIntegralMatrix) -> int:
+    """Representations of 2T by E8 + E8: the sum over T1 + T2 = T of
+    r_S1(T1) r_S1(T2), both halves positive semidefinite."""
+    gram = builtin_lattice("S1")
+    total = 0
+    for m1 in range(t.m + 1):
+        for n1 in range(t.n + 1):
+            m2, n2 = t.m - m1, t.n - n1
+            bound = isqrt(4 * m1 * n1)
+            for r1 in range(-bound, bound + 1):
+                r2 = t.r - r1
+                if r2 * r2 <= 4 * m2 * n2:
+                    total += (rep_deg2(gram, HalfIntegralMatrix(m1, r1, n1))
+                              * rep_deg2(gram, HalfIntegralMatrix(m2, r2, n2)))
+    return total
+
+
+def test_criterion_9_weight_8_oracle():
+    spec = EisensteinSpec(8, LevelPartition(1, 1, 1))
+    failures = []
+    for t in WEIGHT8_MATRICES:
+        count = _e8_squared_count(t)
+        value = fourier_coefficient(spec, t)
+        if value != count:
+            failures.append(f"T=({t.m},{t.r},{t.n}): formula {value} != count {count}")
+    _report("criterion 9 (weight 8 formula vs E8+E8 convolution)", failures)

@@ -1,9 +1,10 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
-from siegelrep.classnumbers import cohen_h, cohen_h_level, local_correction
-from siegelrep.exactmath import kronecker_symbol
+from siegelrep.classnumbers import cohen_h, cohen_h_level, class_divisor_sum, local_correction
+from siegelrep.exactmath import decompose_discriminant, kronecker_symbol, l_negative, moebius
 from siegelrep.verify import ClassSumBounds, verify_class_identities
 
 
@@ -33,6 +34,35 @@ class TestCohenH:
             cohen_h_level(1, 5, 3)
         with pytest.raises(ValueError):
             cohen_h_level(1, 2, 3)
+
+
+def divisor_sum_reference(level, k, m):
+    """sum over g | f coprime to the level of mu(g) chi_D(g) g^(k-2) times
+    the sum of h^(2k-3) over h | f/g coprime to the level, for -m = D f^2,
+    by trial division."""
+    dec = decompose_discriminant(m)
+    f = dec.conductor
+    total = 0
+    for g in range(1, f + 1):
+        if f % g or gcd(g, level) > 1:
+            continue
+        rest = f // g
+        inner = sum(h ** (2 * k - 3) for h in range(1, rest + 1)
+                    if rest % h == 0 and gcd(h, level) == 1)
+        total += moebius(g) * kronecker_symbol(dec.disc, g) * g ** (k - 2) * inner
+    return total
+
+
+@pytest.mark.parametrize("level", [1, 2, 3, 5, 6, 7, 30])
+@pytest.mark.parametrize("k", [4, 6, 8])
+def test_l_value_times_integer_sum(level, k):
+    for m in range(3, 401):
+        if m % 4 in (1, 2):
+            continue
+        dec = decompose_discriminant(m)
+        want = divisor_sum_reference(level, k, m)
+        assert class_divisor_sum(level, k, dec.disc, dec.conductor) == want, m
+        assert cohen_h_level(level, k, m) == l_negative(k - 1, dec.disc) * want, m
 
 
 class TestLocalCorrection:

@@ -155,6 +155,20 @@ class TestHecke:
             assert hecke_up(spec, 2, t) == 32 * fourier_coefficient(spec, t)
             assert hecke_u1p2(spec, 2, t) == 96 * fourier_coefficient(spec, t)
 
+    @pytest.mark.parametrize("p", [0, 1, 4, 9])
+    def test_non_prime_rejected(self, p):
+        level6 = EisensteinSpec(4, LevelPartition(2, 3, 1))
+        with pytest.raises(ValueError, match="prime"):
+            hecke_tp(K4_LEVEL1, p, T111)
+        with pytest.raises(ValueError, match="prime"):
+            hecke_up(level6, p, T111)
+        with pytest.raises(ValueError, match="prime"):
+            hecke_u1p2(level6, p, T111)
+        with pytest.raises(ValueError, match="prime"):
+            raise_level(13440, 604800, 20818560, p, 4)
+        with pytest.raises(ValueError, match="prime"):
+            LocalOrders(p, 0, 0, 1)
+
     def test_divisibility_preconditions(self):
         with pytest.raises(ValueError):
             hecke_tp(EisensteinSpec(4, LevelPartition(2, 1, 1)), 2, T111)

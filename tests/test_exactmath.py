@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import comb, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +23,24 @@ def bernoulli_akiyama_tanigawa(n):
 
 
 FUNDAMENTAL_NEG = [d for d in range(-3, -201, -1) if xm.is_fundamental_discriminant(d)]
+FUNDAMENTAL_300 = [d for d in range(-300, 301) if xm.is_fundamental_discriminant(d)]
+
+
+def generalized_bernoulli_by_residues(n, disc):
+    """Reference: |D|^(n-1) sum_{a=1}^{|D|} chi(a) B_n(a / |D|), one residue at
+    a time.  B_n(x) is scaled to the integer polynomial L q^n B_n(x / q),
+    with L the lcm of the denominators of B_0..B_n."""
+    q = abs(disc)
+    b = bernoulli_akiyama_tanigawa(n)
+    scale = lcm(*(x.denominator for x in b))
+    coef = [comb(n, j) * b[j].numerator * (scale // b[j].denominator) * q**j
+            for j in range(n + 1)]
+    total = 0
+    for a in range(1, q + 1):
+        chi = xm.kronecker_symbol(disc, a)
+        if chi:
+            total += chi * sum(c * a ** (n - j) for j, c in enumerate(coef))
+    return Fraction(total, scale * q)
 
 
 class TestBernoulli:
@@ -120,6 +139,12 @@ class TestLValues:
         assert xm.generalized_bernoulli(3, -3) == Fraction(2, 3)
         assert xm.generalized_bernoulli(3, -4) == Fraction(3, 2)
         assert xm.generalized_bernoulli(4, 1) == Fraction(-1, 30)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_power_sums_match_residue_sum(self, n):
+        assert {1, 5, 8, 12} <= set(FUNDAMENTAL_300)
+        for d in FUNDAMENTAL_300:
+            assert xm.generalized_bernoulli(n, d) == generalized_bernoulli_by_residues(n, d), d
 
     def test_l_values(self):
         assert xm.l_negative(3, -3) == Fraction(-2, 9)

@@ -96,6 +96,18 @@ class TestProfile:
         assert prof.character_trivial
         assert all(s == 1 for s in prof.hasse.values())
 
+    def test_cached_profile_is_read_only(self):
+        # flipping the cached Hasse invariant at 3 used to flip the sign of
+        # a genus weight of S2
+        gram = builtin_lattice("S2")
+        prof = profile(gram)
+        with pytest.raises(TypeError):
+            prof.hasse[3] = -prof.hasse[3]
+        with pytest.raises(TypeError):
+            prof.d_powers[3] = 1
+        table = {part.as_tuple(): c for part, c in genus_coefficients(gram).items()}
+        assert table == EXPECTED_TABLES["S2"]
+
     def test_nontrivial_character_detected(self):
         gram = GramMatrix.from_rows(block_sum(a_series(6), a_series(2)))
         prof = profile(gram)

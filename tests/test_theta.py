@@ -80,6 +80,14 @@ class TestShells:
         with pytest.raises(ValueError):
             shells(DIAG22, 0)
 
+    def test_cached_vectors_are_read_only(self):
+        # zeroing the cached norm 2 shell of S3 used to turn 6944 into 12544
+        g3 = builtin_lattice("S3")
+        first = shells(g3, 2)[0]
+        with pytest.raises(ValueError):
+            first.vectors[:] = 0
+        assert rep_deg2(g3, HalfIntegralMatrix(1, 0, 1)) == 6944
+
 
 class TestRepDeg1:
     def test_values(self):
