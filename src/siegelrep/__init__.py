@@ -21,12 +21,10 @@ from .eisenstein import (
 from .exactmath import (
     Factorization,
     FundamentalDecomposition,
-    Rational,
     bernoulli,
     decompose_discriminant,
     divisors,
     factorize,
-    gcd3,
     generalized_bernoulli,
     is_squarefree,
     kronecker_symbol,

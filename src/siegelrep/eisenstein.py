@@ -183,10 +183,6 @@ def singular_local_factor(i: int, p: int, u: int, k: int) -> Fraction:
     raise ValueError("slot index must be 0, 1 or 2")
 
 
-def _ipow(p: int, e: int) -> Fraction:
-    return Fraction(p**e) if e >= 0 else Fraction(1, p ** (-e))
-
-
 @lru_cache(maxsize=None)
 def definite_local_factor(i: int, orders: LocalOrders, k: int) -> Fraction:
     """Factor at p for definite coefficients, by the slot index i of p."""
@@ -195,7 +191,7 @@ def definite_local_factor(i: int, orders: LocalOrders, k: int) -> Fraction:
     a = p**y - chi * p ** (k - 2)
     b = chi * p ** (k - 2) - 1
     yv = p ** (v * y)
-    cross = _ipow(p, (v - u) * y) * p ** (u * (k - 1))
+    cross = Fraction(p) ** ((v - u) * y) * p ** (u * (k - 1))
     if i == 2:
         return a * Fraction(yv * p ** (k + 1), (p ** (2 * k - 2) - 1) * (p**k - 1))
     if i == 1:
@@ -304,7 +300,7 @@ def raise_level(a_t, a_pt, a_p2t, p: int, k: int) -> tuple[Fraction, Fraction, F
     _require_prime(p)
     a_t, a_pt, a_p2t = Fraction(a_t), Fraction(a_pt), Fraction(a_p2t)
     den = (p**k - 1) * (p ** (2 * k - 2) - 1)
-    low = _ipow(p, 4 - k)
+    low = Fraction(p) ** (4 - k)
     out0 = (
         (p ** (3 * k - 2) + p ** (2 * k - 1) - p ** (2 * k - 2) + p ** (k + 1) - p**k - p + 1) * a_t
         - (p ** (2 * k - 1) + p ** (k + 1) + p * p - p) * a_pt

@@ -18,7 +18,6 @@ from itertools import repeat
 import numpy as np
 
 __all__ = [
-    "Rational",
     "FACTOR_GUARD",
     "Factorization",
     "FundamentalDecomposition",
@@ -34,12 +33,9 @@ __all__ = [
     "prime_divisors",
     "moebius",
     "valuation",
-    "gcd3",
     "is_squarefree",
     "is_prime",
 ]
-
-Rational = Fraction
 
 # Trial division is exact and entirely sufficient at the scales this package
 # works at, but it would crawl on cryptographic-size inputs; refuse those
@@ -55,13 +51,6 @@ class Factorization:
 
     def primes(self) -> tuple[int, ...]:
         return tuple(p for p, _ in self.pairs)
-
-    @property
-    def value(self) -> int:
-        out = 1
-        for p, a in self.pairs:
-            out *= p**a
-        return out
 
 
 @dataclass(frozen=True)
@@ -177,10 +166,6 @@ def valuation(p: int, n: int) -> int:
         n //= p
         v += 1
     return v
-
-
-def gcd3(a: int, b: int, c: int) -> int:
-    return math.gcd(a, b, c)
 
 
 def is_squarefree(n: int) -> bool:

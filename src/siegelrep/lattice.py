@@ -1,6 +1,10 @@
 """Even lattices presented by Gram matrices: level, determinant, character,
 local invariants, and the genus decomposition against the Eisenstein basis.
 
+One exact LDL' decomposition (GramMatrix.ldl) supplies the positive
+definiteness check, the determinant, the level (through S^-1), the Hasse
+invariants (through its pivots) and the enumeration bounds in theta.
+
 The five built-in rank 8 single-class lattices S1..S5 are stored as their
 lower-triangular tuples and decoded on demand.
 """
@@ -22,7 +26,7 @@ from .eisenstein import (
     fourier_coefficient,
     partitions_of_level,
 )
-from .exactmath import is_squarefree, kronecker_symbol, prime_divisors, valuation
+from .exactmath import is_prime, is_squarefree, kronecker_symbol, prime_divisors, valuation
 
 __all__ = [
     "GramMatrix",
@@ -38,25 +42,6 @@ __all__ = [
     "format_gram",
     "load_gram",
 ]
-
-
-def _bareiss_minors(rows) -> list[int] | None:
-    """Leading principal minors by fraction-free elimination; None signals a
-    zero pivot, which already rules out positive definiteness."""
-    n = len(rows)
-    a = [list(row) for row in rows]
-    minors = []
-    prev = 1
-    for k in range(n):
-        piv = a[k][k]
-        if piv == 0:
-            return None
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (piv * a[i][j] - a[i][k] * a[k][j]) // prev
-        prev = piv
-        minors.append(piv)
-    return minors
 
 
 @dataclass(frozen=True)
@@ -81,9 +66,7 @@ class GramMatrix:
             for j in range(i):
                 if self.rows[i][j] != self.rows[j][i]:
                     raise ValueError("matrix must be symmetric")
-        minors = _bareiss_minors(self.rows)
-        if minors is None or any(v <= 0 for v in minors):
-            raise ValueError("matrix must be positive definite")
+        self.ldl()
 
     @classmethod
     def from_rows(cls, rows) -> "GramMatrix":
@@ -109,7 +92,35 @@ class GramMatrix:
 
     @property
     def determinant(self) -> int:
-        return _bareiss_minors(self.rows)[-1]
+        return int(math.prod(self.ldl()[0]))
+
+    def ldl(self) -> tuple[list[Fraction], list[list[Fraction]]]:
+        """Exact S = L D L' as (pivots, L): D = diag(d_1, ..., d_n) and L is
+        unit lower-triangular.  A non-positive pivot rules out positive
+        definiteness (Sylvester) and raises ValueError.
+
+        The elimination is fraction-free (Bareiss): entering step k, the
+        entries a_ij with i, j >= k are m_(k-1) times the Schur complement,
+        where m_k = d_1 ... d_k is the k-th leading principal minor.  So
+        d_k = m_k / m_(k-1) and L_ik = a_ik / m_k, and every intermediate is
+        an integer.
+        """
+        n = len(self.rows)
+        a = [list(row) for row in self.rows]
+        pivots = []
+        low = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+        prev = 1
+        for k in range(n):
+            piv = a[k][k]
+            if piv <= 0:
+                raise ValueError("matrix must be positive definite")
+            pivots.append(Fraction(piv, prev))
+            for i in range(k + 1, n):
+                low[i][k] = Fraction(a[i][k], piv)
+                for j in range(k + 1, n):
+                    a[i][j] = (piv * a[i][j] - a[i][k] * a[k][j]) // prev
+            prev = piv
+        return pivots, low
 
     def lower_triangular(self) -> tuple[int, ...]:
         return tuple(self.rows[i][j] for i in range(self.size) for j in range(i + 1))
@@ -129,22 +140,6 @@ class LatticeProfile:
     d_powers: Mapping[int, int]
 
 
-def _inverse(rows):
-    n = len(rows)
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(rows)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if a[r][col] != 0)
-        a[col], a[piv] = a[piv], a[col]
-        scale = 1 / a[col][col]
-        a[col] = [v * scale for v in a[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [row[n:] for row in a]
-
-
 @lru_cache(maxsize=None)
 def profile(gram: GramMatrix) -> LatticeProfile:
     """Level, determinant, character triviality, plus Hasse invariants and
@@ -152,11 +147,19 @@ def profile(gram: GramMatrix) -> LatticeProfile:
     if gram.size % 2:
         raise ValueError("profile needs even rank")
     det = gram.determinant
-    inv = _inverse(gram.rows)
+    # S^-1 = M' D^-1 M with M = L^-1, unit lower-triangular like L
+    pivots, low = gram.ldl()
+    n = gram.size
+    inv_low = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(i):
+            inv_low[i][j] = -sum(low[i][k] * inv_low[k][j] for k in range(j, i))
+    # the level is the least N with N S^-1 integral and even on the diagonal
     level = 1
-    for i in range(gram.size):
-        for j in range(gram.size):
-            q = inv[i][j] / 2 if i == j else inv[i][j]
+    for i in range(n):
+        for j in range(i + 1):
+            s = sum(inv_low[k][i] * inv_low[k][j] / pivots[k] for k in range(i, n))
+            q = s / 2 if i == j else s
             level = math.lcm(level, q.denominator)
     k = gram.size // 2
     signed = det if k % 2 == 0 else -det
@@ -197,7 +200,7 @@ def hilbert_symbol(a, b, p) -> int:
     if p == "infinity" or p == math.inf:
         return -1 if a < 0 and b < 0 else 1
     p = int(p)
-    if p < 2:
+    if not is_prime(p):
         raise ValueError('p must be a prime or "infinity"')
     alpha, u = _unit_split(a, p)
     beta, v = _unit_split(b, p)
@@ -218,48 +221,15 @@ def hilbert_symbol(a, b, p) -> int:
     return sign
 
 
-def _diagonalize(rows, pivot_order=None) -> list[Fraction]:
-    """Congruence-diagonalize a symmetric rational matrix; pivot_order biases
-    which index is cleared first (the Hasse product does not depend on it)."""
-    n = len(rows)
-    a = [[Fraction(x) for x in row] for row in rows]
-    remaining = set(range(n))
-    preference = list(pivot_order) if pivot_order is not None else list(range(n))
-    diag: list[Fraction] = []
-    while remaining:
-        pick = next((idx for idx in preference if idx in remaining and a[idx][idx] != 0), None)
-        if pick is None:
-            pair = next(((i, j) for i in remaining for j in remaining if i != j and a[i][j] != 0), None)
-            if pair is None:
-                raise ValueError("form is degenerate")
-            i, j = pair
-            for c in range(n):
-                a[i][c] += a[j][c]
-            for c in range(n):
-                a[c][i] += a[c][j]
-            continue
-        d = a[pick][pick]
-        diag.append(d)
-        remaining.discard(pick)
-        for i in remaining:
-            f = a[i][pick] / d
-            if f:
-                for c in range(n):
-                    a[i][c] -= f * a[pick][c]
-                for c in range(n):
-                    a[c][i] -= f * a[c][pick]
-    return diag
-
-
-def hasse_invariant(gram: GramMatrix, p, pivot_order=None) -> int:
-    """Product of hilbert_symbol(a_i, a_j, p) over i < j for a rational
-    diagonalization (a_1, ..., a_n) of the matrix.  Independent of the
-    diagonalization path; pivot_order exists so tests can confirm that."""
-    diag = _diagonalize(gram.rows, pivot_order)
+def hasse_invariant(gram: GramMatrix, p) -> int:
+    """Product of hilbert_symbol(d_i, d_j, p) over i < j for the pivots
+    d_1, ..., d_n of the LDL' decomposition.  Any rational diagonalization
+    gives the same product."""
+    pivots, _ = gram.ldl()
     out = 1
-    for i in range(len(diag)):
-        for j in range(i + 1, len(diag)):
-            out *= hilbert_symbol(diag[i], diag[j], p)
+    for i in range(len(pivots)):
+        for j in range(i + 1, len(pivots)):
+            out *= hilbert_symbol(pivots[i], pivots[j], p)
     return out
 
 

@@ -1,10 +1,11 @@
 """Brute-force theta coefficients: exact enumeration of lattice vectors and
 pair counting with prescribed Gram data.
 
-Coordinate bounds come from a rational Cholesky split of the Gram matrix,
-rescaled to integer arithmetic, so completeness never depends on floating
-point.  Counting itself runs on int64 numpy arrays, which is still exact at
-these magnitudes.  Shells and pair histograms are cached per Gram matrix
+Coordinate bounds (Fincke-Pohst) come from the exact LDL' decomposition
+that lattice.GramMatrix.ldl shares with the genus invariants, rescaled to
+integer arithmetic, so completeness never depends on floating point.
+Counting itself runs on int64 numpy arrays, which is still exact at these
+magnitudes.  Shells and pair histograms are cached per Gram matrix
 behind a lock and are read-only once built; the optional worker pool only
 splits the histogram accumulation, so counts cannot depend on scheduling.
 """
@@ -14,7 +15,6 @@ from __future__ import annotations
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
 from math import isqrt, lcm
 
 import numpy as np
@@ -47,36 +47,21 @@ _hists: dict[tuple, tuple[int, np.ndarray]] = {}
 _lock = threading.Lock()
 
 
-def _rational_cholesky(rows):
-    n = len(rows)
-    a = [[Fraction(x) for x in row] for row in rows]
-    diag: list[Fraction] = []
-    coef = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        d = a[i][i]
-        diag.append(d)
-        for j in range(i + 1, n):
-            coef[i][j] = a[i][j] / d
-        for r in range(i + 1, n):
-            for c in range(r, n):
-                a[r][c] -= d * coef[i][r] * coef[i][c]
-    return diag, coef
-
-
-def _enumerate(rows: tuple[tuple[int, ...], ...], max_norm: int) -> dict[int, np.ndarray]:
+def _enumerate(gram: GramMatrix, max_norm: int) -> dict[int, np.ndarray]:
     """All nonzero x with x' S x <= max_norm, grouped by norm.
 
-    The split form is sum_i d_i (x_i + sum_{j>i} c_ij x_j)^2.  Each linear
-    form is scaled by the lcm of its denominators and the whole inequality by
-    a global factor, after which every bound is an integer comparison.
+    With S = L D L', the split form is sum_i d_i (x_i + sum_{j>i} L_ji x_j)^2.
+    Each linear form is scaled by the lcm of its denominators and the whole
+    inequality by a global factor, after which every bound is an integer
+    comparison.
     """
-    n = len(rows)
-    diag, coef = _rational_cholesky(rows)
+    n = gram.size
+    diag, low = gram.ldl()
     den = [1] * n
     for i in range(n):
         for j in range(i + 1, n):
-            den[i] = lcm(den[i], coef[i][j].denominator)
-    col = [[int(coef[i][level] * den[i]) for i in range(level)] for level in range(n)]
+            den[i] = lcm(den[i], low[j][i].denominator)
+    col = [[int(low[level][i] * den[i]) for i in range(level)] for level in range(n)]
     scale = 1
     for i in range(n):
         scale = lcm(scale, (diag[i] / den[i] ** 2).denominator)
@@ -132,7 +117,7 @@ def _ensure(gram: GramMatrix, max_norm: int) -> _Store:
         store = _stores.get(key)
         if store is not None and store.max_norm >= max_norm:
             return store
-    by_norm = _enumerate(gram.rows, max_norm)
+    by_norm = _enumerate(gram, max_norm)
     with _lock:
         store = _stores.get(key)
         if store is None or store.max_norm < max_norm:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
 
 from .classnumbers import cohen_h, cohen_h_level, local_correction
 from .eisenstein import (
@@ -29,6 +28,7 @@ from .eisenstein import (
 from .exactmath import (
     decompose_discriminant,
     is_fundamental_discriminant,
+    is_prime,
     is_squarefree,
     kronecker_symbol,
     valuation,
@@ -90,8 +90,7 @@ class _Tally:
 
 
 def _primes_up_to(limit: int) -> list[int]:
-    return [p for p in range(2, limit + 1)
-            if all(p % q for q in range(2, isqrt(p) + 1))]
+    return [p for p in range(2, limit + 1) if is_prime(p)]
 
 
 def _squarefree_up_to(limit: int) -> list[int]:

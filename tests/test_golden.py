@@ -1,0 +1,38 @@
+"""Golden CLI corpus: stdout byte for byte and the exit code of every command
+below, in JSON and CSV, against the files in tests/golden/.
+
+The corpus covers the coefficient engine (coeff), the lattice level, Hasse
+invariants and genus weights (through the rep formula values) and the
+enumeration bounds (through the rep counts).  Each file holds the stdout of
+the case of the same name; exit_codes.json maps every case to its exit code.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from siegelrep.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+_COMMANDS = {
+    "coeff_k4_p2-3-1_d20": ["coeff", "-k", "4", "-p", "2,3,1", "--delta-max", "20"],
+    "coeff_k6_p1-1-1_d30": ["coeff", "-k", "6", "-p", "1,1,1", "--delta-max", "30"],
+    **{f"rep_{name}_T{m}-{r}-{n}": ["rep", "--lattice", name, "-T", f"{m},{r},{n}",
+                                    "--mode", "both"]
+       for name in ("S1", "S2", "S3", "S4", "S5")
+       for m, r, n in ((1, 0, 0), (1, 1, 1), (1, 0, 1), (2, 1, 2))},
+    "basis_N30": ["basis", "-N", "30"],
+}
+
+CASES = {f"{stem}.{fmt}": argv + ["--format", fmt]
+         for stem, argv in _COMMANDS.items() for fmt in ("json", "csv")}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_output(name, capsys):
+    code = main(CASES[name])
+    out = capsys.readouterr().out
+    assert out.encode() == (GOLDEN / name).read_bytes()
+    assert code == json.loads((GOLDEN / "exit_codes.json").read_text())[name]

@@ -1,11 +1,13 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from siegelrep.eisenstein import HalfIntegralMatrix
+from siegelrep.exactmath import prime_divisors
 from siegelrep.lattice import (
     BUILTIN_NAMES,
     GramMatrix,
@@ -82,6 +84,10 @@ class TestGramMatrix:
             GramMatrix.from_rows([[2, 3], [3, 2]])
         with pytest.raises(ValueError):
             GramMatrix.from_lower_triangular([2, 1])
+        # zero first pivot, singular, and rank 3 with a negative last pivot
+        for rows in ([[0, 1], [1, 2]], [[2, 2], [2, 2]], [[2, 1, 2], [1, 2, 2], [2, 2, 2]]):
+            with pytest.raises(ValueError, match="positive definite"):
+                GramMatrix.from_rows(rows)
 
     def test_lower_triangular_round_trip(self):
         g = builtin_lattice("S4")
@@ -143,6 +149,13 @@ class TestHilbertSymbol:
         with pytest.raises(ValueError):
             hilbert_symbol(0, 3, 5)
 
+    @pytest.mark.parametrize("p", [0, 1, 4, 6, 9])
+    def test_rejects_non_prime(self, p):
+        with pytest.raises(ValueError, match="p must be a prime"):
+            hilbert_symbol(3, 5, p)
+        with pytest.raises(ValueError, match="p must be a prime"):
+            hasse_invariant(builtin_lattice("S2"), p)
+
     @given(nonzero_fractions(), nonzero_fractions(), nonzero_fractions(),
            st.sampled_from([2, 3, 5, 7, "infinity"]))
     @settings(max_examples=200, deadline=None)
@@ -192,13 +205,116 @@ class TestHasse:
             except ValueError:
                 continue
         for gram in grams:
-            orders = [None, list(reversed(range(gram.size)))]
+            # P'SP changes which basis vector the elimination pivots on first
+            orders = [list(range(gram.size)), list(reversed(range(gram.size)))]
             shuffled = list(range(gram.size))
             rng.shuffle(shuffled)
             orders.append(shuffled)
+            permuted = [GramMatrix.from_rows([[gram.rows[i][j] for j in o] for i in o])
+                        for o in orders]
             for p in (2, 3, 5):
-                values = {hasse_invariant(gram, p, pivot_order=o) for o in orders}
+                values = {hasse_invariant(g, p) for g in permuted}
                 assert len(values) == 1
+
+
+def reference_minors(rows):
+    """Leading principal minors by Bareiss elimination, the determinant and
+    positive-definiteness route before the shared LDL'; None at a zero
+    pivot."""
+    n = len(rows)
+    a = [list(row) for row in rows]
+    minors = []
+    prev = 1
+    for k in range(n):
+        piv = a[k][k]
+        if piv == 0:
+            return None
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (piv * a[i][j] - a[i][k] * a[k][j]) // prev
+        prev = piv
+        minors.append(piv)
+    return minors
+
+
+def reference_inverse(rows):
+    """Gauss-Jordan inverse over the rationals, the level route before the
+    shared LDL'."""
+    n = len(rows)
+    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(rows)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if a[r][col] != 0)
+        a[col], a[piv] = a[piv], a[col]
+        scale = 1 / a[col][col]
+        a[col] = [v * scale for v in a[col]]
+        for r in range(n):
+            if r != col and a[r][col]:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    return [row[n:] for row in a]
+
+
+def reference_level(rows):
+    inv = reference_inverse(rows)
+    level = 1
+    for i in range(len(rows)):
+        for j in range(len(rows)):
+            level = lcm(level, (inv[i][j] / 2 if i == j else inv[i][j]).denominator)
+    return level
+
+
+def reference_hasse(minors, p):
+    """Hasse invariant from the diagonalization m_k / m_(k-1)."""
+    diag = [Fraction(m, prev) for prev, m in zip([1] + minors, minors)]
+    out = 1
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            out *= hilbert_symbol(diag[i], diag[j], p)
+    return out
+
+
+class TestDecompositionEquivalence:
+    """The LDL' invariants against in-test copies of the eliminations it
+    replaced: Bareiss minors for the definiteness verdict and the
+    determinant, a Gauss-Jordan inverse for the level."""
+
+    def grams(self):
+        rng = random.Random(7)
+        out = [builtin_lattice(name) for name in BUILTIN_NAMES]
+        rejected = 0
+        while len(out) < 55:
+            n = rng.choice([2, 4, 6, 8])
+            rows = [[0] * n for _ in range(n)]
+            for i in range(n):
+                rows[i][i] = 2 * rng.randint(1, 4)
+                for j in range(i):
+                    rows[i][j] = rows[j][i] = rng.randint(-2, 2)
+            minors = reference_minors(rows)
+            definite = minors is not None and all(v > 0 for v in minors)
+            try:
+                gram = GramMatrix.from_rows(rows)
+            except ValueError:
+                assert not definite
+                rejected += 1
+                continue
+            assert definite
+            out.append(gram)
+        assert rejected > 0
+        return out
+
+    def test_determinant_level_and_hasse(self):
+        for gram in self.grams():
+            minors = reference_minors(gram.rows)
+            det = gram.determinant
+            assert type(det) is int and det == minors[-1]
+            prof = profile(gram)
+            assert prof.level == reference_level(gram.rows)
+            assert prof.determinant == det
+            for p in sorted(set(prime_divisors(2 * det)) | {3, 5, 7}):
+                assert hasse_invariant(gram, p) == reference_hasse(minors, p)
+            assert dict(prof.hasse) == {p: reference_hasse(minors, p)
+                                        for p in prime_divisors(prof.level)}
 
 
 class TestGenus:
