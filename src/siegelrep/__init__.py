@@ -22,6 +22,7 @@ from .exactmath import (
     Factorization,
     FundamentalDecomposition,
     bernoulli,
+    clear_caches,
     decompose_discriminant,
     divisors,
     factorize,

@@ -12,7 +12,6 @@ which is the identity the verification suites exercise.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd
 
 from .exactmath import (
@@ -21,6 +20,7 @@ from .exactmath import (
     is_squarefree,
     kronecker_symbol,
     l_negative,
+    memo,
     moebius,
 )
 
@@ -56,7 +56,7 @@ def class_divisor_sum(level: int, k: int, disc: int, conductor: int) -> int:
     return acc
 
 
-@lru_cache(maxsize=None)
+@memo
 def cohen_h_level(level: int, k: int, m: int) -> Fraction:
     """Class-number sum with divisors restricted to integers coprime to level.
 
@@ -76,7 +76,6 @@ def cohen_h(k: int, m: int) -> Fraction:
     return cohen_h_level(1, k, m)
 
 
-@lru_cache(maxsize=None)
 def local_correction(p: int, disc: int, v: int, k: int) -> Fraction:
     """Geometric factor linking the class sums of level Np and level N at p:
 

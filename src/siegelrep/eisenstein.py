@@ -11,8 +11,8 @@ raise_level and the Hecke actions give independent evaluation routes; the
 verification suites compare them against the closed formula, which is the
 strongest internal consistency check this module has.
 
-Everything is a pure function of immutable inputs; the lru_cache tables are
-thread-safe, so concurrent use needs no extra care.
+Everything is a pure function of immutable inputs; the memo tables
+(exactmath.memo) are thread-safe, so concurrent use needs no extra care.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .classnumbers import class_divisor_sum
 from .exactmath import (
@@ -31,6 +30,7 @@ from .exactmath import (
     is_squarefree,
     kronecker_symbol,
     l_negative,
+    memo,
     prime_divisors,
     valuation,
     zeta_negative,
@@ -88,21 +88,17 @@ class HalfIntegralMatrix:
 
     def transformed(self, mat: tuple[tuple[int, int], tuple[int, int]]) -> "HalfIntegralMatrix":
         """Congruent matrix under the integral change of basis mat."""
-        return HalfIntegralMatrix(*_transform_triple(self, mat))
+        (a, b), (c, d) = mat
+        m, r, n = self.m, self.r, self.n
+        return HalfIntegralMatrix(m * a * a + r * a * c + n * c * c,
+                                  2 * m * a * b + r * (a * d + b * c) + 2 * n * c * d,
+                                  m * b * b + r * b * d + n * d * d)
 
     def divided_by(self, p: int) -> "HalfIntegralMatrix | None":
         """T / p when that is still half-integral, else None."""
         if self.m % p or self.r % p or self.n % p:
             return None
         return HalfIntegralMatrix(self.m // p, self.r // p, self.n // p)
-
-
-def _transform_triple(t: HalfIntegralMatrix, mat) -> tuple[int, int, int]:
-    (a, b), (c, d) = mat
-    m = t.m * a * a + t.r * a * c + t.n * c * c
-    n = t.m * b * b + t.r * b * d + t.n * d * d
-    r = 2 * t.m * a * b + t.r * (a * d + b * c) + 2 * t.n * c * d
-    return m, r, n
 
 
 @dataclass(frozen=True)
@@ -153,7 +149,6 @@ class LocalOrders:
         _require_prime(self.p)
 
 
-@lru_cache(maxsize=None)
 def partitions_of_level(level: int) -> tuple[LevelPartition, ...]:
     """All ordered factorizations of a squarefree level into three parts."""
     if level < 1 or not is_squarefree(level):
@@ -168,7 +163,6 @@ def partitions_of_level(level: int) -> tuple[LevelPartition, ...]:
     return tuple(sorted(parts, key=lambda q: q.as_tuple()))
 
 
-@lru_cache(maxsize=None)
 def singular_local_factor(i: int, p: int, u: int, k: int) -> Fraction:
     """Factor at p for rank 1 coefficients, by the slot index i of p in the
     partition; u is the order of p in the content."""
@@ -183,7 +177,7 @@ def singular_local_factor(i: int, p: int, u: int, k: int) -> Fraction:
     raise ValueError("slot index must be 0, 1 or 2")
 
 
-@lru_cache(maxsize=None)
+@memo
 def definite_local_factor(i: int, orders: LocalOrders, k: int) -> Fraction:
     """Factor at p for definite coefficients, by the slot index i of p."""
     p, u, v, chi = orders.p, orders.u, orders.v, orders.chi
@@ -217,7 +211,7 @@ def definite_local_factor(i: int, orders: LocalOrders, k: int) -> Fraction:
     raise ValueError("slot index must be 0, 1 or 2")
 
 
-@lru_cache(maxsize=None)
+@memo
 def fourier_coefficient(spec: EisensteinSpec, mat: HalfIntegralMatrix) -> Fraction:
     """Coefficient of the basis series `spec` at the matrix `mat`.
 
@@ -244,7 +238,7 @@ def fourier_coefficient(spec: EisensteinSpec, mat: HalfIntegralMatrix) -> Fracti
     return Fraction(num, den)
 
 
-@lru_cache(maxsize=None)
+@memo
 def _singular_terms(level: int, k: int, content: int) -> tuple[tuple, int, int]:
     """Rank 1 coefficient data shared by every partition of the level: each
     prime of the level with its local factor in slots 0, 1, 2, and
@@ -257,7 +251,7 @@ def _singular_terms(level: int, k: int, content: int) -> tuple[tuple, int, int]:
     return local, 2 * power_sum * zeta.denominator, zeta.numerator
 
 
-@lru_cache(maxsize=None)
+@memo
 def _definite_terms(level: int, k: int, delta: int, content: int) -> tuple[tuple, int, int]:
     """Definite coefficient data shared by every partition of the level: each
     prime of the level with its local factor in slots 0, 1, 2, and
@@ -276,14 +270,8 @@ def _definite_terms(level: int, k: int, delta: int, content: int) -> tuple[tuple
         local.append((p, tuple(definite_local_factor(i, orders, k) for i in range(3))))
     class_sum = sum(d ** (k - 1) * class_divisor_sum(level, k, disc, conductor // d)
                     for d in divisors(content) if math.gcd(d, level) == 1)
-    const = _definite_constant(k, disc)
+    const = 2 * l_negative(k - 1, disc) / (zeta_negative(k) * zeta_negative(2 * k - 2))
     return tuple(local), class_sum * const.numerator, const.denominator
-
-
-@lru_cache(maxsize=None)
-def _definite_constant(k: int, disc: int) -> Fraction:
-    """2 L(2 - k, chi_disc) / (zeta(1 - k) zeta(3 - 2k))."""
-    return 2 * l_negative(k - 1, disc) / (zeta_negative(k) * zeta_negative(2 * k - 2))
 
 
 def _require_prime(p: int) -> None:
@@ -334,10 +322,10 @@ def hecke_tp(spec: EisensteinSpec, p: int, mat: HalfIntegralMatrix) -> Fraction:
     total = fourier_coefficient(spec, mat.scaled(p))
     mid = Fraction(0)
     for alpha in range(p):
-        w = _scaled_transform(mat, ((1, 0), (alpha, p)), p)
+        w = mat.transformed(((1, 0), (alpha, p))).divided_by(p)
         if w is not None:
             mid += fourier_coefficient(spec, w)
-    w = _scaled_transform(mat, ((p, 0), (0, 1)), p)
+    w = mat.transformed(((p, 0), (0, 1))).divided_by(p)
     if w is not None:
         mid += fourier_coefficient(spec, w)
     total += p ** (k - 2) * mid
@@ -345,13 +333,6 @@ def hecke_tp(spec: EisensteinSpec, p: int, mat: HalfIntegralMatrix) -> Fraction:
     if down is not None:
         total += p ** (2 * k - 3) * fourier_coefficient(spec, down)
     return total
-
-
-def _scaled_transform(t: HalfIntegralMatrix, mat, p: int) -> HalfIntegralMatrix | None:
-    m, r, n = _transform_triple(t, mat)
-    if m % p or r % p or n % p:
-        return None
-    return HalfIntegralMatrix(m // p, r // p, n // p)
 
 
 def hecke_up(spec: EisensteinSpec, p: int, mat: HalfIntegralMatrix) -> Fraction:

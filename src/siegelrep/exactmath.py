@@ -3,8 +3,9 @@
 Scalars are plain ints and fractions.Fraction (always in lowest terms with a
 positive denominator, so equality is bit-exact); nothing in this module ever
 touches floating point.  The only array is a table of character values in
-{-1, 0, 1}.  All functions are pure, and the lru_cache memo tables behind
-the slower ones are safe to share between threads.
+{-1, 0, 1}.  All functions are pure.  The package's one cache policy lives
+here: `memo` is functools.cache (unbounded, thread-safe) plus registration,
+and clear_caches() empties every registered table.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache
 from itertools import repeat
 
 import numpy as np
@@ -21,6 +22,8 @@ __all__ = [
     "FACTOR_GUARD",
     "Factorization",
     "FundamentalDecomposition",
+    "memo",
+    "clear_caches",
     "bernoulli",
     "zeta_negative",
     "kronecker_symbol",
@@ -42,6 +45,23 @@ __all__ = [
 # outright instead of hanging.
 FACTOR_GUARD = 1 << 64
 
+# The no-argument callables clear_caches() runs: cache_clear of every memo
+# table, plus the clearing of theta's shell and histogram stores.
+CLEARERS: list = []
+
+
+def memo(fn):
+    """functools.cache, registered so that clear_caches() empties it."""
+    cached = cache(fn)
+    CLEARERS.append(cached.cache_clear)
+    return cached
+
+
+def clear_caches() -> None:
+    """Empty every cached table of the package, so the next call runs cold."""
+    for clear in CLEARERS:
+        clear()
+
 
 @dataclass(frozen=True)
 class Factorization:
@@ -61,7 +81,7 @@ class FundamentalDecomposition:
     conductor: int
 
 
-@lru_cache(maxsize=None)
+@memo
 def bernoulli(n: int) -> Fraction:
     """Bernoulli number B_n, with the convention B_1 = -1/2."""
     if n < 0:
@@ -114,7 +134,7 @@ def kronecker_symbol(a: int, m: int) -> int:
     return sign if m == 1 else 0
 
 
-@lru_cache(maxsize=None)
+@memo
 def factorize(n: int) -> Factorization:
     """Trial-division factorization; inputs above FACTOR_GUARD are refused."""
     if n < 1:
@@ -137,7 +157,7 @@ def factorize(n: int) -> Factorization:
     return Factorization(tuple(pairs))
 
 
-@lru_cache(maxsize=None)
+@memo
 def divisors(n: int) -> tuple[int, ...]:
     """All positive divisors of n in increasing order."""
     out = [1]
@@ -176,7 +196,7 @@ def is_prime(n: int) -> bool:
     return n >= 2 and factorize(n).pairs == ((n, 1),)
 
 
-@lru_cache(maxsize=None)
+@memo
 def decompose_discriminant(delta: int) -> FundamentalDecomposition:
     """Split -delta into D * f**2 with D a fundamental discriminant.
 
@@ -237,7 +257,7 @@ def _character_table(disc: int) -> np.ndarray:
     return chi
 
 
-@lru_cache(maxsize=None)
+@memo
 def generalized_bernoulli(n: int, disc: int) -> Fraction:
     """Generalized Bernoulli number for the quadratic character of
     discriminant disc: |D|^(n-1) * sum_a chi(a) B_n(a / |D|).

@@ -1,9 +1,10 @@
 """Even lattices presented by Gram matrices: level, determinant, character,
 local invariants, and the genus decomposition against the Eisenstein basis.
 
-One exact LDL' decomposition (GramMatrix.ldl) supplies the positive
-definiteness check, the determinant, the level (through S^-1), the Hasse
-invariants (through its pivots) and the enumeration bounds in theta.
+One exact LDL' decomposition, computed when a GramMatrix is built and kept
+on it (GramMatrix.ldl), supplies the positive definiteness check, the
+determinant, the level (through S^-1), the Hasse invariants (through its
+pivots) and the enumeration bounds in theta.
 
 The five built-in rank 8 single-class lattices S1..S5 are stored as their
 lower-triangular tuples and decoded on demand.
@@ -13,9 +14,9 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from itertools import combinations
 from pathlib import Path
 from types import MappingProxyType
 
@@ -26,7 +27,7 @@ from .eisenstein import (
     fourier_coefficient,
     partitions_of_level,
 )
-from .exactmath import is_prime, is_squarefree, kronecker_symbol, prime_divisors, valuation
+from .exactmath import is_prime, is_squarefree, kronecker_symbol, memo, prime_divisors, valuation
 
 __all__ = [
     "GramMatrix",
@@ -49,10 +50,12 @@ class GramMatrix:
     """Symmetric integer matrix with even diagonal, positive definite.
 
     The genus machinery needs even rank; the plain enumeration helpers do
-    not, so rank is not restricted here.
+    not, so rank is not restricted here.  Equality, hashing and repr use
+    rows only; the LDL' decomposition is derived from them once, when built.
     """
 
     rows: tuple[tuple[int, ...], ...]
+    _ldl: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = len(self.rows)
@@ -66,7 +69,26 @@ class GramMatrix:
             for j in range(i):
                 if self.rows[i][j] != self.rows[j][i]:
                     raise ValueError("matrix must be symmetric")
-        self.ldl()
+        # Fraction-free (Bareiss) elimination: entering step k, the entries
+        # a_ij with i, j >= k are m_(k-1) times the Schur complement, where
+        # m_k = d_1 ... d_k is the k-th leading principal minor.  So
+        # d_k = m_k / m_(k-1) and L_ik = a_ik / m_k, and every intermediate
+        # is an integer.
+        a = [list(row) for row in self.rows]
+        pivots = []
+        low = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+        prev = 1
+        for k in range(n):
+            piv = a[k][k]
+            if piv <= 0:
+                raise ValueError("matrix must be positive definite")
+            pivots.append(Fraction(piv, prev))
+            for i in range(k + 1, n):
+                low[i][k] = Fraction(a[i][k], piv)
+                for j in range(k + 1, n):
+                    a[i][j] = (piv * a[i][j] - a[i][k] * a[k][j]) // prev
+            prev = piv
+        object.__setattr__(self, "_ldl", (tuple(pivots), tuple(map(tuple, low))))
 
     @classmethod
     def from_rows(cls, rows) -> "GramMatrix":
@@ -94,33 +116,12 @@ class GramMatrix:
     def determinant(self) -> int:
         return int(math.prod(self.ldl()[0]))
 
-    def ldl(self) -> tuple[list[Fraction], list[list[Fraction]]]:
-        """Exact S = L D L' as (pivots, L): D = diag(d_1, ..., d_n) and L is
-        unit lower-triangular.  A non-positive pivot rules out positive
-        definiteness (Sylvester) and raises ValueError.
-
-        The elimination is fraction-free (Bareiss): entering step k, the
-        entries a_ij with i, j >= k are m_(k-1) times the Schur complement,
-        where m_k = d_1 ... d_k is the k-th leading principal minor.  So
-        d_k = m_k / m_(k-1) and L_ik = a_ik / m_k, and every intermediate is
-        an integer.
-        """
-        n = len(self.rows)
-        a = [list(row) for row in self.rows]
-        pivots = []
-        low = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-        prev = 1
-        for k in range(n):
-            piv = a[k][k]
-            if piv <= 0:
-                raise ValueError("matrix must be positive definite")
-            pivots.append(Fraction(piv, prev))
-            for i in range(k + 1, n):
-                low[i][k] = Fraction(a[i][k], piv)
-                for j in range(k + 1, n):
-                    a[i][j] = (piv * a[i][j] - a[i][k] * a[k][j]) // prev
-            prev = piv
-        return pivots, low
+    def ldl(self) -> tuple[tuple[Fraction, ...], tuple[tuple[Fraction, ...], ...]]:
+        """Exact S = L D L' as (pivots, rows of L): D = diag(d_1, ..., d_n)
+        and L is unit lower-triangular.  Computed once, at construction,
+        where a non-positive pivot rules out positive definiteness
+        (Sylvester) and raises ValueError."""
+        return self._ldl
 
     def lower_triangular(self) -> tuple[int, ...]:
         return tuple(self.rows[i][j] for i in range(self.size) for j in range(i + 1))
@@ -130,8 +131,7 @@ class GramMatrix:
 class LatticeProfile:
     """Genus invariants of an even lattice: minimal level, determinant,
     character triviality, and local data at the primes of the level.
-
-    profile() caches these, so the two mappings are read-only views."""
+    The two mappings are read-only views."""
 
     level: int
     determinant: int
@@ -140,7 +140,6 @@ class LatticeProfile:
     d_powers: Mapping[int, int]
 
 
-@lru_cache(maxsize=None)
 def profile(gram: GramMatrix) -> LatticeProfile:
     """Level, determinant, character triviality, plus Hasse invariants and
     determinant p-parts at the primes dividing the level."""
@@ -186,10 +185,6 @@ def _unit_residue(u: Fraction, modulus: int) -> int:
     return (u.numerator * pow(u.denominator, -1, modulus)) % modulus
 
 
-def _legendre_unit(u: Fraction, p: int) -> int:
-    return kronecker_symbol(_unit_residue(u, p), p)
-
-
 def hilbert_symbol(a, b, p) -> int:
     """Hilbert symbol (a, b)_p for nonzero rationals; p is a prime or the
     string "infinity"."""
@@ -215,9 +210,9 @@ def hilbert_symbol(a, b, p) -> int:
     if alpha * beta % 2 and p % 4 == 3:
         sign = -sign
     if beta % 2:
-        sign *= _legendre_unit(u, p)
+        sign *= kronecker_symbol(_unit_residue(u, p), p)
     if alpha % 2:
-        sign *= _legendre_unit(v, p)
+        sign *= kronecker_symbol(_unit_residue(v, p), p)
     return sign
 
 
@@ -225,16 +220,14 @@ def hasse_invariant(gram: GramMatrix, p) -> int:
     """Product of hilbert_symbol(d_i, d_j, p) over i < j for the pivots
     d_1, ..., d_n of the LDL' decomposition.  Any rational diagonalization
     gives the same product."""
-    pivots, _ = gram.ldl()
-    out = 1
-    for i in range(len(pivots)):
-        for j in range(i + 1, len(pivots)):
-            out *= hilbert_symbol(pivots[i], pivots[j], p)
-    return out
+    return math.prod(hilbert_symbol(a, b, p) for a, b in combinations(gram.ldl()[0], 2))
 
 
-@lru_cache(maxsize=None)
-def _genus_coefficients(gram: GramMatrix) -> dict[LevelPartition, Fraction]:
+@memo
+def genus_coefficients(gram: GramMatrix) -> Mapping[LevelPartition, Fraction]:
+    """Weight of each basis series in the genus average of the lattice's
+    degree 2 theta coefficients, one entry per partition of the level, as a
+    read-only mapping."""
     prof = profile(gram)
     k = gram.size // 2
     if k % 2 or k < 4:
@@ -254,13 +247,7 @@ def _genus_coefficients(gram: GramMatrix) -> dict[LevelPartition, Fraction]:
         for p in prime_divisors(part.n2):
             c /= prof.d_powers[p]
         out[part] = c
-    return out
-
-
-def genus_coefficients(gram: GramMatrix) -> dict[LevelPartition, Fraction]:
-    """Weight of each basis series in the genus average of the lattice's
-    degree 2 theta coefficients, one entry per partition of the level."""
-    return dict(_genus_coefficients(gram))
+    return MappingProxyType(out)
 
 
 def genus_rep_number(gram: GramMatrix, mat: HalfIntegralMatrix) -> Fraction:
@@ -270,7 +257,7 @@ def genus_rep_number(gram: GramMatrix, mat: HalfIntegralMatrix) -> Fraction:
     """
     k = gram.size // 2
     total = Fraction(0)
-    for part, weight in _genus_coefficients(gram).items():
+    for part, weight in genus_coefficients(gram).items():
         total += weight * fourier_coefficient(EisensteinSpec(k, part), mat)
     return total
 
@@ -292,7 +279,6 @@ _BUILTIN: dict[str, tuple[int, ...]] = {
 BUILTIN_NAMES = tuple(_BUILTIN)
 
 
-@lru_cache(maxsize=None)
 def builtin_lattice(name: str) -> GramMatrix:
     """One of the built-in lattices S1..S5."""
     try:

@@ -6,8 +6,9 @@ that lattice.GramMatrix.ldl shares with the genus invariants, rescaled to
 integer arithmetic, so completeness never depends on floating point.
 Counting itself runs on int64 numpy arrays, which is still exact at these
 magnitudes.  Shells and pair histograms are cached per Gram matrix
-behind a lock and are read-only once built; the optional worker pool only
-splits the histogram accumulation, so counts cannot depend on scheduling.
+behind a lock, are read-only once built, and are emptied by
+exactmath.clear_caches(); the optional worker pool only splits the
+histogram accumulation, so counts cannot depend on scheduling.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from math import isqrt, lcm
 import numpy as np
 
 from .eisenstein import HalfIntegralMatrix
+from .exactmath import CLEARERS
 from .lattice import GramMatrix
 
 __all__ = ["VectorShell", "shells", "rep_deg1", "rep_deg2"]
@@ -34,17 +36,20 @@ class VectorShell:
     vectors: np.ndarray
 
 
-class _Store:
-    __slots__ = ("max_norm", "by_norm")
-
-    def __init__(self, max_norm: int, by_norm: dict[int, np.ndarray]):
-        self.max_norm = max_norm
-        self.by_norm = by_norm
-
-
-_stores: dict[tuple, _Store] = {}
+# rows -> (max_norm, {norm: shell}), and (rows, norm, norm) -> (bound, hist)
+_stores: dict[tuple, tuple[int, dict[int, np.ndarray]]] = {}
 _hists: dict[tuple, tuple[int, np.ndarray]] = {}
 _lock = threading.Lock()
+
+
+def _clearer(table: dict):
+    def clear() -> None:
+        with _lock:
+            table.clear()
+    return clear
+
+
+CLEARERS.extend((_clearer(_stores), _clearer(_hists)))
 
 
 def _enumerate(gram: GramMatrix, max_norm: int) -> dict[int, np.ndarray]:
@@ -111,27 +116,27 @@ def _enumerate(gram: GramMatrix, max_norm: int) -> dict[int, np.ndarray]:
     return out
 
 
-def _ensure(gram: GramMatrix, max_norm: int) -> _Store:
+def _ensure(gram: GramMatrix, max_norm: int) -> dict[int, np.ndarray]:
+    """Shells by norm, complete at least up to max_norm."""
     key = gram.rows
     with _lock:
         store = _stores.get(key)
-        if store is not None and store.max_norm >= max_norm:
-            return store
+        if store is not None and store[0] >= max_norm:
+            return store[1]
     by_norm = _enumerate(gram, max_norm)
     with _lock:
         store = _stores.get(key)
-        if store is None or store.max_norm < max_norm:
-            store = _Store(max_norm, by_norm)
-            _stores[key] = store
-        return store
+        if store is None or store[0] < max_norm:
+            store = _stores[key] = (max_norm, by_norm)
+        return store[1]
 
 
 def shells(gram: GramMatrix, max_norm: int) -> list[VectorShell]:
     """Complete nonempty shells of nonzero vectors with norm up to max_norm."""
     if max_norm <= 0:
         raise ValueError("max_norm must be positive")
-    store = _ensure(gram, max_norm)
-    return [VectorShell(q, store.by_norm[q]) for q in sorted(store.by_norm) if q <= max_norm]
+    by_norm = _ensure(gram, max_norm)
+    return [VectorShell(q, by_norm[q]) for q in sorted(by_norm) if q <= max_norm]
 
 
 def rep_deg1(gram: GramMatrix, m: int) -> int:
@@ -141,8 +146,7 @@ def rep_deg1(gram: GramMatrix, m: int) -> int:
     """
     if m < 1:
         raise ValueError("m must be positive")
-    store = _ensure(gram, 2 * m)
-    arr = store.by_norm.get(2 * m)
+    arr = _ensure(gram, 2 * m).get(2 * m)
     return 0 if arr is None else len(arr)
 
 
@@ -153,9 +157,9 @@ def _pair_counts(gram: GramMatrix, norm_a: int, norm_b: int, workers: int) -> tu
         cached = _hists.get(key)
     if cached is not None:
         return cached
-    store = _ensure(gram, hi)
-    va = store.by_norm.get(lo)
-    vb = store.by_norm.get(hi)
+    by_norm = _ensure(gram, hi)
+    va = by_norm.get(lo)
+    vb = by_norm.get(hi)
     bound = isqrt(lo * hi)
     hist = np.zeros(2 * bound + 1, dtype=np.int64)
     if va is not None and vb is not None:

@@ -73,16 +73,18 @@ class SuiteReport:
         return not self.failures
 
 
+_FAILURE_LIMIT = 12  # failure messages kept per suite
+
+
 class _Tally:
-    def __init__(self, name: str, limit: int = 12):
+    def __init__(self, name: str):
         self.name = name
         self.checks = 0
         self.failures: list[str] = []
-        self.limit = limit
 
     def check(self, condition: bool, message: str) -> None:
         self.checks += 1
-        if not condition and len(self.failures) < self.limit:
+        if not condition and len(self.failures) < _FAILURE_LIMIT:
             self.failures.append(message)
 
     def report(self) -> SuiteReport:

@@ -93,6 +93,21 @@ class TestGramMatrix:
         g = builtin_lattice("S4")
         assert GramMatrix.from_lower_triangular(g.lower_triangular()) == g
 
+    def test_ldl_is_stored_and_read_only(self):
+        g = builtin_lattice("S1")
+        assert g.ldl() is g.ldl()
+        pivots, low = g.ldl()
+        with pytest.raises(TypeError):
+            pivots[0] = Fraction(1)
+        with pytest.raises(TypeError):
+            low[1][0] = Fraction(0)
+        with pytest.raises(AttributeError):
+            g._ldl = None
+        # equality, hash and repr see the rows only
+        twin = GramMatrix(g.rows)
+        assert twin == g and hash(twin) == hash(g) and twin.ldl() == g.ldl()
+        assert repr(g) == f"GramMatrix(rows={g.rows!r})"
+
 
 class TestProfile:
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
@@ -327,6 +342,13 @@ class TestGenus:
         g1 = builtin_lattice("S1")
         assert genus_rep_number(g1, HalfIntegralMatrix(0, 0, 0)) == 1
         assert genus_rep_number(g1, HalfIntegralMatrix(1, 1, 1)) == 13440
+
+    def test_cached_table_is_read_only(self):
+        gram = builtin_lattice("S2")
+        table = genus_coefficients(gram)
+        with pytest.raises(TypeError):
+            table[next(iter(table))] = Fraction(0)
+        assert genus_rep_number(gram, HalfIntegralMatrix(1, 1, 1)) == 1452
 
     def test_small_rank_rejected(self):
         gram = GramMatrix.from_rows([[2, 0], [0, 2]])
