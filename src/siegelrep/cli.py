@@ -172,6 +172,13 @@ def _cmd_basis(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    try:
+        lattice_bounds = LatticeBounds(delta_max=args.lattice_delta_max,
+                                       singular_content_max=args.lattice_sing_max,
+                                       workers=args.workers)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     reports = run_suites(
         args.suite,
         coefficient_bounds=CoefficientBounds(level_max=args.level_max,
@@ -181,9 +188,7 @@ def _cmd_verify(args) -> int:
         class_bounds=ClassSumBounds(m_max=args.m_max),
         local_bounds=LocalSumBounds(),
         hecke_bounds=HeckeBounds(matrix_count=args.t_count),
-        lattice_bounds=LatticeBounds(delta_max=args.lattice_delta_max,
-                                     singular_content_max=args.lattice_sing_max,
-                                     workers=args.workers),
+        lattice_bounds=lattice_bounds,
     )
     bad = False
     for rep in reports:

@@ -285,6 +285,10 @@ class LatticeBounds:
     singular_content_max: int = 10
     workers: int = 1
 
+    def __post_init__(self) -> None:
+        if self.workers < 1:
+            raise ValueError("workers must be at least 1")
+
 
 def verify_lattices(bounds: LatticeBounds = LatticeBounds()) -> SuiteReport:
     """Genus decomposition table, then formula versus enumeration with an

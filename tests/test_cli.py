@@ -126,3 +126,10 @@ class TestVerify:
 
     def test_unknown_suite_is_usage_error(self, capsys):
         assert run(capsys, "verify", "nonsense")[0] == 2
+
+    def test_workers_below_one_is_usage_error(self, capsys):
+        code = main(["verify", "lattices", "--workers", "0"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "workers must be at least 1" in captured.err

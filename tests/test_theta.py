@@ -1,14 +1,18 @@
 import itertools
 from fractions import Fraction
+from math import isqrt, lcm
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from siegelrep import theta
 from siegelrep.eisenstein import HalfIntegralMatrix
+from siegelrep.exactmath import clear_caches
 from siegelrep.lattice import GramMatrix, builtin_lattice, genus_rep_number
 from siegelrep.theta import rep_deg1, rep_deg2, shells
+from siegelrep.verify import LatticeBounds
 
 DIAG22 = GramMatrix.from_rows([[2, 0], [0, 2]])
 A2 = GramMatrix.from_rows([[2, 1], [1, 2]])
@@ -139,11 +143,250 @@ class TestRepDeg2:
             for mv in moves:
                 assert rep_deg2(TOY3, t.transformed(mv)) == base
 
-    def test_worker_determinism(self):
+    def test_worker_determinism(self, monkeypatch):
         g3 = builtin_lattice("S3")
         for t in (HalfIntegralMatrix(1, 0, 2), HalfIntegralMatrix(2, 1, 2)):
             assert rep_deg2(g3, t, workers=1) == rep_deg2(g3, t, workers=3)
+        # equal norms over many tiles, off-diagonal ones included
+        t = HalfIntegralMatrix(2, 1, 2)
+        clear_caches()
+        want = rep_deg2(g3, t)
+        monkeypatch.setattr(theta, "_BLOCK", 64)
+        half = len(shells(g3, 4)[1].vectors) // 2
+        assert sum(w == 2 for *_, w in theta._blocks(half, half, True)) > 1
+        for workers in (1, 3):
+            clear_caches()
+            assert rep_deg2(g3, t, workers=workers) == want
+
+    def test_rejects_workers_below_one(self):
+        with pytest.raises(ValueError, match="workers"):
+            rep_deg2(TOY3, HalfIntegralMatrix(1, 0, 1), workers=0)
+        with pytest.raises(ValueError, match="workers"):
+            LatticeBounds(workers=0)
 
     def test_vectors_are_int64(self):
         shell = shells(A2, 6)[0]
         assert shell.vectors.dtype == np.int64
+
+
+# In-test copies of the kernel that the vectorized one replaced: a recursive
+# Fincke-Pohst walk and int64 products over the full shells.
+
+def recursive_walk(gram, max_norm):
+    n = gram.size
+    diag, low = gram.ldl()
+    den = [1] * n
+    for i in range(n):
+        for j in range(i + 1, n):
+            den[i] = lcm(den[i], low[j][i].denominator)
+    col = [[int(low[level][i] * den[i]) for i in range(level)] for level in range(n)]
+    scale = 1
+    for i in range(n):
+        scale = lcm(scale, (diag[i] / den[i] ** 2).denominator)
+    quad = [int(diag[i] * scale / den[i] ** 2) for i in range(n)]
+    budget0 = scale * max_norm
+    hits = {}
+    coords = [0] * n
+
+    def walk(level, budget, offs, zero_tail):
+        dl = den[level]
+        gl = quad[level]
+        c = offs[level]
+        root = isqrt(budget // gl)
+        lo = -((root + c) // dl)
+        if zero_tail and lo < 0:
+            lo = 0
+        hi = (root - c) // dl
+        if level == 0:
+            for xv in range(lo, hi + 1):
+                if zero_tail and xv == 0:
+                    continue
+                t = dl * xv + c
+                used = budget0 - budget + gl * t * t
+                coords[0] = xv
+                hits.setdefault(used // scale, []).append(tuple(coords))
+            return
+        cl = col[level]
+        for xv in range(lo, hi + 1):
+            t = dl * xv + c
+            coords[level] = xv
+            walk(level - 1, budget - gl * t * t,
+                 [offs[i] + cl[i] * xv for i in range(level)],
+                 zero_tail and xv == 0)
+
+    walk(n - 1, budget0, [0] * n, True)
+    out = {}
+    for norm, vecs in hits.items():
+        arr = np.array(vecs, dtype=np.int64)
+        out[norm] = np.concatenate([arr, -arr])
+    return out
+
+
+def full_product_counts(gram, norm_a, norm_b):
+    """{r: number of (x, y) with norms (norm_a, norm_b) and x' S y = r}."""
+    lo, hi = sorted((norm_a, norm_b))
+    by_norm = recursive_walk(gram, hi)
+    va, vb = by_norm.get(lo), by_norm.get(hi)
+    if va is None or vb is None:
+        return {}
+    bound = isqrt(lo * hi)
+    prods = (va @ np.array(gram.rows, dtype=np.int64)) @ vb.T
+    hist = np.bincount((prods + bound).ravel(), minlength=2 * bound + 1)
+    return {r - bound: int(c) for r, c in enumerate(hist) if c}
+
+
+def kernel_counts(gram, norm_a, norm_b):
+    step, hist = theta._pair_counts(gram, norm_a, norm_b, 1)
+    bound = len(hist) // 2
+    return {(k - bound) * step: int(c) for k, c in enumerate(hist) if c}
+
+
+def shell_sets(by_norm):
+    return {norm: {tuple(v) for v in vecs} for norm, vecs in by_norm.items()}
+
+
+def assert_half_shell_layout(vectors):
+    half = len(vectors) // 2
+    assert len(vectors) == 2 * half
+    assert np.array_equal(vectors[half:], -vectors[:half])
+    for row in vectors[:half]:
+        assert row[np.flatnonzero(row)[-1]] > 0
+
+
+BUILTINS = ["S1", "S2", "S3", "S4", "S5"]
+PAIRS = [(a, b) for a in (2, 4, 6) for b in (2, 4, 6) if a <= b]
+
+
+@st.composite
+def even_grams(draw):
+    n = draw(st.integers(2, 5))
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = 2 * draw(st.integers(1, 3))
+        for j in range(i):
+            rows[i][j] = rows[j][i] = draw(st.integers(-2, 2))
+    try:
+        return GramMatrix.from_rows(rows)
+    except ValueError:
+        assume(False)
+
+
+class TestKernelEquivalence:
+    @pytest.mark.parametrize("name", BUILTINS)
+    def test_shells_match_recursive_walk(self, name):
+        gram = builtin_lattice(name)
+        got = {sh.norm: sh.vectors for sh in shells(gram, 10)}
+        assert shell_sets(got) == shell_sets(recursive_walk(gram, 10))
+        for vectors in got.values():
+            assert_half_shell_layout(vectors)
+
+    @pytest.mark.parametrize("name", BUILTINS)
+    def test_histograms_match_full_products(self, name):
+        gram = builtin_lattice(name)
+        for a, b in PAIRS:
+            assert kernel_counts(gram, a, b) == full_product_counts(gram, a, b)
+
+    @pytest.mark.parametrize("name", ["S3", "S4", "S5"])
+    def test_small_blocks(self, name, monkeypatch):
+        gram = builtin_lattice(name)
+        monkeypatch.setattr(theta, "_BLOCK", 256)
+        clear_caches()
+        half = len(shells(gram, 6)[-1].vectors) // 2
+        tiles = theta._blocks(half, half, True)
+        assert any(w == 2 for *_, w in tiles)
+        for a, b in PAIRS:
+            assert kernel_counts(gram, a, b) == full_product_counts(gram, a, b)
+        clear_caches()
+
+    @pytest.mark.parametrize("k", [300, 40_000, 3_000_000_000])
+    def test_large_coordinates(self, k):
+        # A2 in the basis (e1, k e1 + e2): its short vectors have coordinates
+        # near k, beyond int8, int16 and int32 in turn (the last on Python
+        # ints), so the narrowed steps must still rebuild them exactly.
+        gram = GramMatrix.from_rows([[2, 2 * k + 1], [2 * k + 1, 2 * k * k + 2 * k + 2]])
+        got = theta._enumerate(gram, 8)
+        assert shell_sets(got) == shell_sets(recursive_walk(gram, 8))
+        assert max(int(np.abs(v).max()) for v in got.values()) >= k
+        for vectors in got.values():
+            assert_half_shell_layout(vectors)
+
+    @given(even_grams(), st.sampled_from([16, theta._BLOCK]))
+    @settings(max_examples=40, deadline=None)
+    def test_random_even_grams(self, gram, block):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(theta, "_BLOCK", block)
+            clear_caches()
+            got = {sh.norm: sh.vectors for sh in shells(gram, 8)}
+            assert shell_sets(got) == shell_sets(recursive_walk(gram, 8))
+            for vectors in got.values():
+                assert_half_shell_layout(vectors)
+            for a, b in PAIRS:
+                assert kernel_counts(gram, a, b) == full_product_counts(gram, a, b)
+            clear_caches()
+
+
+TIER_MATS = [HalfIntegralMatrix(m, r, n)
+             for m in range(1, 5) for n in range(m, 5) for r in range(-m, m + 1)]
+
+
+class TestExactTiers:
+    """Scaling S and T by c changes no count, while the bounds move every
+    step from float64/int64 to int64 (c = 2^55) and to Python ints (2^70)."""
+
+    @pytest.fixture
+    def chosen(self, monkeypatch):
+        """The (floats allowed, dtype) choices made from now on."""
+        seen = set()
+        pick = theta._exact_dtype
+
+        def spy(bound, floats=False):
+            dtype = pick(bound, floats)
+            seen.add((floats, dtype))
+            return dtype
+
+        monkeypatch.setattr(theta, "_exact_dtype", spy)
+        return seen
+
+    def test_norm_bound_alone_leaves_int64(self, chosen):
+        # A2 scaled by c = 2^60: every entry of the split form fits int64,
+        # but the scaled norm bound 8c = 2^63 does not.
+        c = 2 ** 60
+        scaled = GramMatrix.from_rows([[c * v for v in row] for row in A2.rows])
+        large = shells(scaled, 8 * c)
+        assert chosen == {(False, object)}
+        small = shells(A2, 8)
+        assert [sh.norm * c for sh in small] == [sh.norm for sh in large]
+        assert all(np.array_equal(a.vectors, b.vectors) for a, b in zip(small, large))
+
+    def test_isqrt_near_float_rounding(self):
+        # k^2 - 1 rounds up to k^2 in float64 once k > 2^26
+        ks = [3, 2 ** 26 + 1, 2 ** 31 - 1, 3_000_000_000]
+        values = [v for k in ks for v in (k * k - 1, k * k, k * k + 2 * k)]
+        want = [isqrt(v) for v in values]
+        assert theta._isqrt(np.array(values, dtype=np.int64)).tolist() == want
+        big = [v << 80 for v in values]
+        assert theta._isqrt(np.array(big, dtype=object)).tolist() == [isqrt(v) for v in big]
+
+    @pytest.mark.parametrize("rows", [A2.rows, TOY3.rows], ids=["A2", "TOY3"])
+    @pytest.mark.parametrize("c, tiers", [
+        (1, {(False, np.int64), (True, np.float64)}),
+        (2 ** 55, {(False, np.int64), (True, np.int64)}),
+        (2 ** 70, {(False, object), (True, object)}),
+    ], ids=["1", "2^55", "2^70"])
+    def test_scaled_gram(self, rows, c, tiers, chosen):
+        base = GramMatrix.from_rows(rows)
+        scaled = GramMatrix.from_rows([[c * v for v in row] for row in rows])
+        want = [rep_deg2(base, t) for t in TIER_MATS]
+        clear_caches()
+        chosen.clear()
+        got = [rep_deg2(scaled, HalfIntegralMatrix(c * t.m, c * t.r, c * t.n))
+               for t in TIER_MATS]
+        assert chosen == tiers
+        assert got == want and any(want)
+        assert all(type(v) is int for v in got)
+        small = shells(base, 8)
+        large = shells(scaled, 8 * c)
+        assert [sh.norm * c for sh in small] == [sh.norm for sh in large]
+        for a, b in zip(small, large):
+            assert b.vectors.dtype == np.int64 and not b.vectors.flags.writeable
+            assert np.array_equal(a.vectors, b.vectors)
