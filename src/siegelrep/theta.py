@@ -7,14 +7,18 @@ exact LDL' decomposition that lattice.GramMatrix.ldl shares with the genus
 invariants, rescaled to integer arithmetic, so completeness never depends on
 floating point.
 
-Every shell is stored as [h, -h], where the half-shell h holds the vectors
-whose last nonzero coordinate is positive.  Pair histograms are counted on
-half-shells only, H(r) = 2 (h(r) + h(-r)), and for two equal norms on the
-upper-triangular blocks of h x h.  Each arithmetic step runs in the
-narrowest exact dtype that a bound checked at run time allows: float64
-(products only, through BLAS) below 2^53, int64 below 2^63, and Python ints
-(dtype=object) above; the code is the same for all three.  Counts are exact
-ints.
+Only the half-shell h of each norm is stored: the vectors whose last
+nonzero coordinate is positive, in the narrowest integer dtype that the
+search's coordinate bounds allow (int8 for every built-in lattice).
+VectorShell.vectors builds the whole shell [h, -h] as a new read-only int64
+array on each access.  Pair histograms are counted on half-shells only,
+H(r) = 2 (h(r) + h(-r)), and for two equal norms on the upper-triangular
+blocks of h x h.  Each arithmetic step runs in the narrowest exact dtype that
+a bound checked at run time allows: float64 (products only, through BLAS)
+below 2^53, int64 below 2^63, and Python ints (dtype=object) above; the code
+is the same for all three.  A histogram keeps only the values r that occur,
+with their counts, so a Gram matrix with huge entries costs no more than its
+products.  Counts are exact ints.
 
 Shells and pair histograms are cached per Gram matrix behind a lock, are
 read-only once built, and are emptied by exactmath.clear_caches(); the
@@ -45,17 +49,28 @@ _BLOCK = 250_000
 
 @dataclass(frozen=True)
 class VectorShell:
-    """All lattice vectors of one norm; rows are distinct and closed under
-    negation, laid out as [h, -h] with h the rows whose last nonzero
-    coordinate is positive."""
+    """All lattice vectors of one norm.  Only the read-only half-shell `half`
+    is kept: the rows whose last nonzero coordinate is positive, in the
+    narrowest integer dtype that the enumeration bounds allow.  `vectors`
+    builds the whole shell on each access, as a new read-only int64 array
+    laid out as [half, -half]: its rows are distinct and closed under
+    negation."""
 
     norm: int
-    vectors: np.ndarray
+    half: np.ndarray
+
+    @property
+    def vectors(self) -> np.ndarray:
+        h = self.half.astype(np.int64)
+        full = np.concatenate((h, -h))
+        full.flags.writeable = False
+        return full
 
 
-# rows -> (max_norm, {norm: shell}), and (rows, norm, norm) -> (step, hist)
+# rows -> (max_norm, {norm: half-shell}), and (rows, norm, norm) ->
+# (step, keys, counts)
 _stores: dict[tuple, tuple[int, dict[int, np.ndarray]]] = {}
-_hists: dict[tuple, tuple[int, np.ndarray]] = {}
+_hists: dict[tuple, tuple[int, np.ndarray, np.ndarray]] = {}
 _lock = threading.Lock()
 
 
@@ -104,16 +119,24 @@ def _expand(budget: np.ndarray, offs: np.ndarray, tail_zero: np.ndarray, dl: int
     hi = (r - c) // dl
     count = np.maximum(hi - lo + 1, 0).astype(np.int64)
     parent = np.repeat(np.arange(len(count)), count)
-    first = np.cumsum(count) - count
-    x = lo[parent] + (np.arange(len(parent)) - first[parent])
-    t = dl * x + c[parent]
-    return (x, parent, budget[parent] - gl * t * t,
-            offs[parent, :level] + np.multiply.outer(x, col), tail_zero[parent] & (x == 0))
+    # The next frontier's arrays dominate the peak memory of the search, so
+    # they are built in place.
+    x = (lo - (np.cumsum(count) - count))[parent]
+    x += np.arange(len(parent))
+    t = x * dl
+    t += c[parent]
+    t *= t
+    t *= gl
+    rest = budget[parent]
+    rest -= t
+    del t
+    return (x, parent, rest, offs[parent, :level] + np.multiply.outer(x, col),
+            tail_zero[parent] & (x == 0))
 
 
 def _enumerate(gram: GramMatrix, max_norm: int) -> dict[int, np.ndarray]:
-    """All nonzero x with x' S x <= max_norm, grouped by norm, each shell
-    laid out as [h, -h].
+    """The half-shells of all nonzero x with x' S x <= max_norm, by norm:
+    one of x, -x each, the one whose last nonzero coordinate is positive.
 
     With S = L D L', the split form is sum_i d_i (x_i + sum_{j>i} L_ji x_j)^2.
     Each linear form is scaled by the lcm of its denominators and the whole
@@ -155,33 +178,39 @@ def _enumerate(gram: GramMatrix, max_norm: int) -> dict[int, np.ndarray]:
         # 0 <= parent < size.
         steps.append((level, x.astype(np.min_scalar_type(-span[level] - 1)),
                        parent.astype(np.min_scalar_type(size))))
+        del x, parent
 
-    # Group the leaves by norm; norm 0 is the zero vector alone.  Only the
-    # steps, in their narrowest dtypes, and the order of the leaves stay
-    # alive while the shells are allocated.
-    norms = (budget0 - budget) // scale
+    # Group the leaves by norm; norm 0 is the zero vector alone.  As 8- or
+    # 16-bit keys the norms are radix-sorted.  Only the steps, in their
+    # narrowest dtypes, and the order of the leaves stay alive while the
+    # half-shells are allocated.
+    norms = ((budget0 - budget) // scale).astype(np.min_scalar_type(max_norm))
     del budget
     order = np.argsort(norms, kind="stable")
     norms = norms[order]
     cuts = [*(np.flatnonzero(norms[1:] != norms[:-1]) + 1), len(norms)]
     keys = norms[cuts[:-1]].tolist()
     del norms
+    # Every step's dtype holds its coordinates.  VectorShell.vectors is
+    # int64, so a coordinate beyond int64 raises OverflowError here.
+    half_dtype = np.result_type(*(x.dtype for _, x, _ in steps))
+    if half_dtype == object:
+        half_dtype = np.int64
     out: dict[int, np.ndarray] = {}
     for key, s, e in zip(keys, cuts[:-1], cuts[1:]):
-        shell = np.empty((2 * (e - s), n), dtype=np.int64)
+        half = np.empty((e - s, n), dtype=half_dtype)
         idx = order[s:e]
         for level, x, parent in reversed(steps):
-            shell[: e - s, level] = x[idx]
+            half[:, level] = x[idx]
             idx = parent[idx]
-        np.negative(shell[: e - s], out=shell[e - s:])
         # shells() hands these cached arrays to every caller.
-        shell.flags.writeable = False
-        out[key] = shell
+        half.flags.writeable = False
+        out[key] = half
     return out
 
 
 def _ensure(gram: GramMatrix, max_norm: int) -> dict[int, np.ndarray]:
-    """Shells by norm, complete at least up to max_norm."""
+    """Half-shells by norm, complete at least up to max_norm."""
     key = gram.rows
     with _lock:
         store = _stores.get(key)
@@ -210,8 +239,8 @@ def rep_deg1(gram: GramMatrix, m: int) -> int:
     """
     if m < 1:
         raise ValueError("m must be positive")
-    arr = _ensure(gram, 2 * m).get(2 * m)
-    return 0 if arr is None else len(arr)
+    half = _ensure(gram, 2 * m).get(2 * m)
+    return 0 if half is None else 2 * len(half)
 
 
 def _blocks(na: int, nb: int, same: bool) -> list[tuple[slice, slice, int]]:
@@ -233,10 +262,28 @@ def _blocks(na: int, nb: int, same: bool) -> list[tuple[slice, slice, int]]:
     return tiles
 
 
-def _pair_counts(gram: GramMatrix, norm_a: int, norm_b: int, workers: int) -> tuple[int, np.ndarray]:
-    """(step, hist) with hist[r // step + len(hist) // 2] the number of pairs
-    (x, y) of norms (norm_a, norm_b) with x' S y = r; every such r is a
-    multiple of step, the gcd of the entries of S."""
+def _absmax(values: np.ndarray) -> int:
+    """max |v| over values, as a Python int: np.abs wraps on the least value
+    of a narrow integer dtype."""
+    return max(-int(values.min()), int(values.max()))
+
+
+def _merge(parts: list[tuple[np.ndarray, np.ndarray]], dtype) -> tuple[np.ndarray, np.ndarray]:
+    """The exact sum of histograms given as (keys, counts): the sorted
+    distinct keys, of the given dtype, and their int64 counts."""
+    keys, where = np.unique(np.concatenate([np.empty(0, dtype), *(k for k, _ in parts)]),
+                            return_inverse=True)
+    counts = np.zeros(len(keys), dtype=np.int64)
+    np.add.at(counts, where, np.concatenate([np.empty(0, np.int64), *(c for _, c in parts)]))
+    return keys, counts
+
+
+def _pair_counts(gram: GramMatrix, norm_a: int, norm_b: int,
+                 workers: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """(step, keys, counts): the number of pairs (x, y) of norms
+    (norm_a, norm_b) with x' S y = r is counts[i] for r = keys[i] * step and 0
+    for an r not listed.  keys are sorted; every such r is a multiple of step,
+    the gcd of the entries of S."""
     lo, hi = (norm_a, norm_b) if norm_a <= norm_b else (norm_b, norm_a)
     key = (gram.rows, lo, hi)
     with _lock:
@@ -244,36 +291,39 @@ def _pair_counts(gram: GramMatrix, norm_a: int, norm_b: int, workers: int) -> tu
     if cached is not None:
         return cached
     by_norm = _ensure(gram, hi)
-    va = by_norm.get(lo)
-    vb = by_norm.get(hi)
+    ha = by_norm.get(lo)
+    hb = by_norm.get(hi)
     step = gcd(*(v for row in gram.rows for v in row))
     # Cauchy-Schwarz: |x' S y| <= sqrt(lo * hi).
     bound = isqrt(lo * hi) // step
-    half_counts = np.zeros(2 * bound + 1, dtype=np.int64)
-    if va is not None and vb is not None:
-        ha, hb = va[: len(va) // 2], vb[: len(vb) // 2]
+    kdtype = np.intp if 2 * bound < 2 ** 63 else object
+    parts = []
+    if ha is not None and hb is not None:
         # Rows x S with a last column bound * step, against columns y with a
         # last entry 1, give x' S y + bound * step: a key in [0, 2 bound].
         smat = np.array(gram.rows, dtype=object)
         entry_sum = int(np.abs(smat).sum())
-        xmax = int(np.abs(ha).max())
         shift = bound * step
-        sdtype = _exact_dtype(xmax * entry_sum + shift)
+        sdtype = _exact_dtype(_absmax(ha) * entry_sum + shift)
         left = ha.astype(sdtype) @ smat.astype(sdtype)
         left = np.column_stack((left, np.full(len(ha), shift, dtype=sdtype)))
         row_sum = int(np.abs(left).sum(axis=1).max())
-        pdtype = _exact_dtype(row_sum * int(np.abs(hb).max()), floats=True)
+        pdtype = _exact_dtype(row_sum * _absmax(hb), floats=True)
         left = left.astype(pdtype)
         right = np.vstack((hb.T, np.ones(len(hb), dtype=np.int64))).astype(pdtype)
+        # Keys are counted densely, unless their range is wider than the
+        # products; then each tile's distinct keys are counted.
+        dense = 2 * bound + 1 <= len(ha) * len(hb)
 
-        def count(tiles: list[tuple[slice, slice, int]]) -> np.ndarray:
+        def count(tiles: list[tuple[slice, slice, int]]) -> tuple[np.ndarray, np.ndarray]:
             # All of a worker's tiles share one pair of buffers: allocated
             # and freed per tile, they were returned to the system and
             # faulted in again on every tile.
             cap = min(_BLOCK, len(ha) * len(hb))
             buf = np.empty(cap, dtype=pdtype)
-            keys = np.empty(cap, dtype=np.intp)
-            part = np.zeros_like(half_counts)
+            keys = np.empty(cap, dtype=kdtype)
+            part = np.zeros(2 * bound + 1 if dense else 0, dtype=np.int64)
+            found = []
             for rows, cols, weight in tiles:
                 size = (rows.stop - rows.start) * (cols.stop - cols.start)
                 prods = buf[:size].reshape(rows.stop - rows.start, -1)
@@ -281,19 +331,29 @@ def _pair_counts(gram: GramMatrix, norm_a: int, norm_b: int, workers: int) -> tu
                 if step != 1:
                     prods //= step
                 np.copyto(keys[:size], prods.ravel(), casting="unsafe")
-                part += weight * np.bincount(keys[:size], minlength=len(part))
-            return part
+                if dense:
+                    part += weight * np.bincount(keys[:size], minlength=len(part))
+                else:
+                    distinct, times = np.unique(keys[:size], return_counts=True)
+                    found.append((distinct, weight * times))
+            if dense:
+                found.append((np.flatnonzero(part), part[part != 0]))
+            return _merge(found, kdtype)
 
         tiles = _blocks(len(ha), len(hb), lo == hi)
         if workers > 1:
             with ThreadPoolExecutor(max_workers=workers) as pool:
-                for part in pool.map(count, [tiles[i::workers] for i in range(workers)]):
-                    half_counts += part
+                parts = list(pool.map(count, [tiles[i::workers] for i in range(workers)]))
         else:
-            half_counts += count(tiles)
-    # x -> -x pairs the four sign classes of the half-shells.
-    hist = 2 * (half_counts + half_counts[::-1])
-    result = (step, hist)
+            parts = [count(tiles)]
+    keys, counts = _merge(parts, kdtype)
+    # x -> -x pairs the four sign classes of the half-shells:
+    # H(r) = 2 (h(r) + h(-r)).
+    keys = keys - bound
+    keys, counts = _merge([(keys, counts), (-keys, counts)], kdtype)
+    counts *= 2
+    keys.flags.writeable = counts.flags.writeable = False
+    result = (step, keys, counts)
     with _lock:
         _hists[key] = result
     return result
@@ -315,9 +375,9 @@ def rep_deg2(gram: GramMatrix, mat: HalfIntegralMatrix, workers: int = 1) -> int
         return rep_deg1(gram, mat.m)
     if mat.m == 0:
         return rep_deg1(gram, mat.n)
-    step, hist = _pair_counts(gram, 2 * mat.m, 2 * mat.n, workers)
+    step, keys, counts = _pair_counts(gram, 2 * mat.m, 2 * mat.n, workers)
     key, rest = divmod(mat.r, step)
-    bound = len(hist) // 2
-    if rest or abs(key) > bound:
+    if rest or not len(keys) or not keys[0] <= key <= keys[-1]:
         return 0
-    return int(hist[key + bound])
+    at = np.searchsorted(keys, key)
+    return int(counts[at]) if keys[at] == key else 0

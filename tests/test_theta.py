@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from fractions import Fraction
 from math import isqrt, lcm
 
@@ -235,10 +236,9 @@ def full_product_counts(gram, norm_a, norm_b):
     return {r - bound: int(c) for r, c in enumerate(hist) if c}
 
 
-def kernel_counts(gram, norm_a, norm_b):
-    step, hist = theta._pair_counts(gram, norm_a, norm_b, 1)
-    bound = len(hist) // 2
-    return {(k - bound) * step: int(c) for k, c in enumerate(hist) if c}
+def kernel_counts(gram, norm_a, norm_b, workers=1):
+    step, keys, counts = theta._pair_counts(gram, norm_a, norm_b, workers)
+    return {int(k) * step: int(c) for k, c in zip(keys, counts)}
 
 
 def shell_sets(by_norm):
@@ -255,6 +255,11 @@ def assert_half_shell_layout(vectors):
 
 BUILTINS = ["S1", "S2", "S3", "S4", "S5"]
 PAIRS = [(a, b) for a in (2, 4, 6) for b in (2, 4, 6) if a <= b]
+
+
+def skewed_a2(k):
+    """A2 in the basis (e1, k e1 + e2)."""
+    return GramMatrix.from_rows([[2, 2 * k + 1], [2 * k + 1, 2 * k * k + 2 * k + 2]])
 
 
 @st.composite
@@ -298,17 +303,26 @@ class TestKernelEquivalence:
             assert kernel_counts(gram, a, b) == full_product_counts(gram, a, b)
         clear_caches()
 
-    @pytest.mark.parametrize("k", [300, 40_000, 3_000_000_000])
+    @pytest.mark.parametrize("k", [62, 63, 127, 128, 300, 40_000, 3_000_000_000])
     def test_large_coordinates(self, k):
         # A2 in the basis (e1, k e1 + e2): its short vectors have coordinates
-        # near k, beyond int8, int16 and int32 in turn (the last on Python
-        # ints), so the narrowed steps must still rebuild them exactly.
-        gram = GramMatrix.from_rows([[2, 2 * k + 1], [2 * k + 1, 2 * k * k + 2 * k + 2]])
-        got = theta._enumerate(gram, 8)
+        # down to -2k - 2, at the int8/int16 edge (k = 62, 63: -126 stored
+        # in int8, -128 in int16) and beyond int8, int16 and int32 in turn
+        # (the last on Python ints), so the narrowed steps and half-shells
+        # must still rebuild them exactly.
+        gram = skewed_a2(k)
+        got = {sh.norm: sh.vectors for sh in shells(gram, 8)}
         assert shell_sets(got) == shell_sets(recursive_walk(gram, 8))
         assert max(int(np.abs(v).max()) for v in got.values()) >= k
         for vectors in got.values():
             assert_half_shell_layout(vectors)
+
+    @pytest.mark.parametrize("k", [62, 63, 127, 128])
+    def test_large_coordinate_pairs(self, k):
+        # The product dtypes are chosen from max |x| of narrow half-shells.
+        gram = skewed_a2(k)
+        for a, b in PAIRS:
+            assert kernel_counts(gram, a, b) == full_product_counts(gram, a, b)
 
     @given(even_grams(), st.sampled_from([16, theta._BLOCK]))
     @settings(max_examples=40, deadline=None)
@@ -390,3 +404,74 @@ class TestExactTiers:
         for a, b in zip(small, large):
             assert b.vectors.dtype == np.int64 and not b.vectors.flags.writeable
             assert np.array_equal(a.vectors, b.vectors)
+
+
+class TestHalfShellStore:
+    """The store keeps only half-shells, in int8 for the built-ins; the full
+    int64 shells are built on request."""
+
+    def test_builtin_store_is_int8(self):
+        clear_caches()
+        for name in BUILTINS:
+            shells(builtin_lattice(name), 20)
+        halves = [h for _, by_norm in theta._stores.values() for h in by_norm.values()]
+        assert len(theta._stores) == len(BUILTINS)
+        assert {h.dtype for h in halves} == {np.dtype(np.int8)}
+        # 1,769,730 vectors to norm 20, half of them stored, 8 bytes each
+        assert sum(len(h) for h in halves) * 2 == 1_769_730
+        assert sum(h.nbytes for h in halves) == 7_078_920
+
+    def test_warm_shells_build_no_full_shell(self):
+        gram = builtin_lattice("S1")
+        shells(gram, 20)
+        tracemalloc.start()
+        try:
+            got = shells(gram, 20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(got) == 10
+        assert peak < 2 ** 20
+
+    @pytest.mark.parametrize("name", BUILTINS)
+    def test_rep_deg1_counts_full_shells(self, name):
+        gram = builtin_lattice(name)
+        for shell in shells(gram, 20):
+            assert rep_deg1(gram, shell.norm // 2) == len(shell.vectors) == 2 * len(shell.half)
+
+    def test_vectors_built_per_access(self):
+        shell = shells(builtin_lattice("S1"), 4)[1]
+        first, second = shell.vectors, shell.vectors
+        assert first is not second and not np.shares_memory(first, second)
+        assert np.array_equal(first, second)
+        for vectors in (first, second):
+            assert vectors.dtype == np.int64 and not vectors.flags.writeable
+            assert np.array_equal(vectors[: len(shell.half)], shell.half)
+            assert_half_shell_layout(vectors)
+        with pytest.raises(ValueError):
+            shell.half[0, 0] = 0
+
+
+class TestSparseHistogram:
+    """Keys whose range is wider than the products are counted sparsely."""
+
+    def test_huge_entries_small_gcd(self):
+        # The dense histogram over [-sqrt(ab), sqrt(ab)] / 2 would need 2^61
+        # entries for four pairs.
+        gram = GramMatrix.from_rows([[2 ** 61, 0], [0, 2 ** 61 + 2]])
+        assert rep_deg2(gram, HalfIntegralMatrix(2 ** 60, 0, 2 ** 60 + 1)) == 4
+        assert rep_deg2(gram, HalfIntegralMatrix(2 ** 60, 2, 2 ** 60 + 1)) == 0
+        assert rep_deg2(gram, HalfIntegralMatrix(2 ** 60, 2 ** 61, 2 ** 60 + 1)) == 0
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_sparse_matches_full_products(self, workers, monkeypatch):
+        # 2 x^2 + 2 x y + 1000 y^2: few vectors of large norm
+        gram = GramMatrix.from_rows([[2, 1], [1, 1000]])
+        monkeypatch.setattr(theta, "_BLOCK", 1)
+        clear_caches()
+        pairs = [(2, 1000), (8, 1000), (1000, 1000), (1000, 1004), (18, 1024)]
+        for a, b in pairs:
+            halves = {sh.norm: len(sh.half) for sh in shells(gram, max(a, b))}
+            assert 2 * isqrt(a * b) + 1 > halves[a] * halves[b]
+            assert kernel_counts(gram, a, b, workers) == full_product_counts(gram, a, b)
+        clear_caches()
