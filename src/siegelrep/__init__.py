@@ -2,7 +2,7 @@
 level, applied to representation numbers of even lattices and checked against
 brute-force theta enumeration."""
 
-from .classnumbers import cohen_h, cohen_h_level, local_correction
+from .classnumbers import cohen_h_level, local_correction
 from .eisenstein import (
     EisensteinSpec,
     HalfIntegralMatrix,

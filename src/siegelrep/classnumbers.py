@@ -24,7 +24,7 @@ from .exactmath import (
     moebius,
 )
 
-__all__ = ["cohen_h", "cohen_h_level", "class_divisor_sum", "local_correction"]
+__all__ = ["cohen_h_level", "class_divisor_sum", "local_correction"]
 
 
 def class_divisor_sum(level: int, k: int, disc: int, conductor: int) -> int:
@@ -69,11 +69,6 @@ def cohen_h_level(level: int, k: int, m: int) -> Fraction:
     dec = decompose_discriminant(m)
     acc = class_divisor_sum(level, k, dec.disc, dec.conductor)
     return l_negative(k - 1, dec.disc) * acc
-
-
-def cohen_h(k: int, m: int) -> Fraction:
-    """Unrestricted class-number sum (level 1)."""
-    return cohen_h_level(1, k, m)
 
 
 def local_correction(p: int, disc: int, v: int, k: int) -> Fraction:

@@ -14,6 +14,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import asdict, fields
 from fractions import Fraction
 
 from .eisenstein import (
@@ -27,14 +28,7 @@ from .eisenstein import (
 from .exactmath import decompose_discriminant, prime_divisors
 from .lattice import BUILTIN_NAMES, builtin_lattice, genus_rep_number, load_gram, profile
 from .theta import rep_deg2
-from .verify import (
-    ClassSumBounds,
-    CoefficientBounds,
-    HeckeBounds,
-    LatticeBounds,
-    LocalSumBounds,
-    run_suites,
-)
+from .verify import SUITE_NAMES, VerifyBounds, run_suites
 
 __all__ = ["main"]
 
@@ -173,23 +167,11 @@ def _cmd_basis(args) -> int:
 
 def _cmd_verify(args) -> int:
     try:
-        lattice_bounds = LatticeBounds(delta_max=args.lattice_delta_max,
-                                       singular_content_max=args.lattice_sing_max,
-                                       workers=args.workers)
+        bounds = VerifyBounds(**{f.name: getattr(args, f.name) for f in fields(VerifyBounds)})
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    reports = run_suites(
-        args.suite,
-        coefficient_bounds=CoefficientBounds(level_max=args.level_max,
-                                             prime_max=args.prime_max,
-                                             delta_max=args.delta_max,
-                                             singular_content_max=args.sing_max),
-        class_bounds=ClassSumBounds(m_max=args.m_max),
-        local_bounds=LocalSumBounds(),
-        hecke_bounds=HeckeBounds(matrix_count=args.t_count),
-        lattice_bounds=lattice_bounds,
-    )
+    reports = run_suites(args.suite, bounds)
     bad = False
     for rep in reports:
         state = "ok" if rep.ok else "FAIL"
@@ -232,17 +214,18 @@ def _build_parser() -> argparse.ArgumentParser:
     basis.set_defaults(func=_cmd_basis)
 
     verify = sub.add_parser("verify", help="run an identity suite")
-    verify.add_argument("suite", choices=("identities", "hecke", "lattices", "all"))
-    verify.add_argument("--delta-max", type=int, default=50)
-    verify.add_argument("--sing-max", type=int, default=12)
-    verify.add_argument("--level-max", type=int, default=15)
-    verify.add_argument("--prime-max", type=int, default=5)
-    verify.add_argument("--m-max", type=int, default=500)
-    verify.add_argument("--t-count", type=int, default=30)
-    verify.add_argument("--lattice-delta-max", type=int, default=30)
-    verify.add_argument("--lattice-sing-max", type=int, default=10)
-    verify.add_argument("--workers", type=int, default=1)
-    verify.set_defaults(func=_cmd_verify)
+    verify.add_argument("suite", choices=SUITE_NAMES)
+    # One flag per VerifyBounds field, defaults included.
+    verify.add_argument("--delta-max", type=int)
+    verify.add_argument("--sing-max", type=int)
+    verify.add_argument("--level-max", type=int)
+    verify.add_argument("--prime-max", type=int)
+    verify.add_argument("--m-max", type=int)
+    verify.add_argument("--t-count", type=int)
+    verify.add_argument("--lattice-delta-max", type=int)
+    verify.add_argument("--lattice-sing-max", type=int)
+    verify.add_argument("--workers", type=int)
+    verify.set_defaults(func=_cmd_verify, **asdict(VerifyBounds()))
 
     return parser
 

@@ -1,16 +1,19 @@
-"""Exhaustive identity suites with configurable bounds.
+"""Exhaustive identity suites over finite grids.
 
 Each suite walks a finite grid and compares two independent evaluation
 routes with exact equality; a failure message names the offending point.
-The CLI `verify` subcommand and the acceptance tests both run these.
+`VerifyBounds` holds the grid settings that callers may change and their
+defaults, one field per flag of the CLI `verify` subcommand; the rest of
+each grid is fixed by the module constants below.  The CLI and the
+acceptance tests both run these suites.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
-from .classnumbers import cohen_h, cohen_h_level, local_correction
+from .classnumbers import cohen_h_level, local_correction
 from .eisenstein import (
     EisensteinSpec,
     LevelPartition,
@@ -27,10 +30,13 @@ from .eisenstein import (
 )
 from .exactmath import (
     decompose_discriminant,
+    divisors,
     is_fundamental_discriminant,
     is_prime,
     is_squarefree,
     kronecker_symbol,
+    l_negative,
+    prime_divisors,
     valuation,
 )
 from .lattice import BUILTIN_NAMES, builtin_lattice, genus_coefficients, genus_rep_number
@@ -38,11 +44,7 @@ from .theta import rep_deg2, shells
 
 __all__ = [
     "SuiteReport",
-    "CoefficientBounds",
-    "ClassSumBounds",
-    "LocalSumBounds",
-    "HeckeBounds",
-    "LatticeBounds",
+    "VerifyBounds",
     "verify_coefficient_identities",
     "verify_class_identities",
     "verify_local_sums",
@@ -91,6 +93,45 @@ class _Tally:
         return SuiteReport(self.name, self.checks, tuple(self.failures))
 
 
+# Fixed parts of each grid.
+COEFFICIENT_WEIGHTS = (4, 6)
+CLASS_LEVEL_MAX = 30
+CLASS_PRIME_MAX = 7
+CLASS_WEIGHTS = (4, 6)
+LOCAL_PRIME_MAX = 7
+LOCAL_ORDER_MAX = 4
+LOCAL_WEIGHTS = (4, 6, 8)
+HECKE_LEVELS = (1, 3, 7)
+HECKE_PRIMES = (2, 3, 5)
+HECKE_WEIGHTS = (4, 6)
+
+
+@dataclass(frozen=True)
+class VerifyBounds:
+    """The settable bounds of every suite, each a CLI flag of the same name
+    (delta_max is --delta-max).  delta_max, sing_max, level_max and prime_max
+    bound the coefficient suite, m_max the class sums, t_count the Hecke
+    matrices, and lattice_delta_max, lattice_sing_max and workers the lattice
+    oracle.  Negative values are refused, and so is workers below 1."""
+    delta_max: int = 50
+    sing_max: int = 12
+    level_max: int = 15
+    prime_max: int = 5
+    m_max: int = 500
+    t_count: int = 30
+    lattice_delta_max: int = 30
+    lattice_sing_max: int = 10
+    workers: int = 1
+
+    def __post_init__(self) -> None:
+        if self.workers < 1:
+            raise ValueError("workers must be at least 1")
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if value < 0:
+                raise ValueError(f"{field.name} must be non-negative, got {value}")
+
+
 def _primes_up_to(limit: int) -> list[int]:
     return [p for p in range(2, limit + 1) if is_prime(p)]
 
@@ -99,21 +140,11 @@ def _squarefree_up_to(limit: int) -> list[int]:
     return [n for n in range(1, limit + 1) if is_squarefree(n)]
 
 
-@dataclass(frozen=True)
-class CoefficientBounds:
-    level_max: int = 15
-    prime_max: int = 5
-    weights: tuple[int, ...] = (4, 6)
-    delta_max: int = 50
-    singular_content_max: int = 12
-
-
-def verify_coefficient_identities(bounds: CoefficientBounds = CoefficientBounds()) -> SuiteReport:
+def verify_coefficient_identities(bounds: VerifyBounds = VerifyBounds()) -> SuiteReport:
     """Level raising against direct evaluation, plus the three-term
     decomposition of each series into the next level's basis."""
     tally = _Tally("identities/coefficients")
-    mats = reduced_representatives(bounds.delta_max, bounds.singular_content_max,
-                                   include_zero=True)
+    mats = reduced_representatives(bounds.delta_max, bounds.sing_max, include_zero=True)
     primes = _primes_up_to(bounds.prime_max)
     for level in _squarefree_up_to(bounds.level_max):
         for p in primes:
@@ -124,7 +155,7 @@ def verify_coefficient_identities(bounds: CoefficientBounds = CoefficientBounds(
                 raised = (LevelPartition(p * n0, n1, n2),
                           LevelPartition(n0, p * n1, n2),
                           LevelPartition(n0, n1, p * n2))
-                for k in bounds.weights:
+                for k in COEFFICIENT_WEIGHTS:
                     spec = EisensteinSpec(k, part)
                     up_specs = tuple(EisensteinSpec(k, q) for q in raised)
                     for t in mats:
@@ -141,24 +172,34 @@ def verify_coefficient_identities(bounds: CoefficientBounds = CoefficientBounds(
     return tally.report()
 
 
-@dataclass(frozen=True)
-class ClassSumBounds:
-    level_max: int = 30
-    prime_max: int = 7
-    m_max: int = 500
-    weights: tuple[int, ...] = (4, 6)
+def _level_one_euler_product(k: int, m: int) -> Fraction:
+    """The level 1 class-number sum at -m = D f**2 with the Moebius sum over
+    g | f rearranged into local factors:
+
+        L(2 - k, chi_D) sum_{g | f} (f/g)^(2k-3) prod_{p | g} (1 - chi_D(p) p^(k-2))
+    """
+    dec = decompose_discriminant(m)
+    f = dec.conductor
+    acc = 0
+    for g in divisors(f):
+        term = (f // g) ** (2 * k - 3)
+        for p in prime_divisors(g):
+            term *= 1 - kronecker_symbol(dec.disc, p) * p ** (k - 2)
+        acc += term
+    return l_negative(k - 1, dec.disc) * acc
 
 
-def verify_class_identities(bounds: ClassSumBounds = ClassSumBounds()) -> SuiteReport:
-    """Level correction and p-squared stability of the class-number sums."""
+def verify_class_identities(bounds: VerifyBounds = VerifyBounds()) -> SuiteReport:
+    """Level correction and p-squared stability of the class-number sums, and
+    the level 1 sum against its Euler-product form."""
     tally = _Tally("identities/class-sums")
     ms = [m for m in range(1, bounds.m_max + 1) if m % 4 in (0, 3)]
-    primes = _primes_up_to(bounds.prime_max)
-    for level in _squarefree_up_to(bounds.level_max):
+    primes = _primes_up_to(CLASS_PRIME_MAX)
+    for level in _squarefree_up_to(CLASS_LEVEL_MAX):
         for p in primes:
             if level % p == 0:
                 continue
-            for k in bounds.weights:
+            for k in CLASS_WEIGHTS:
                 for m in ms:
                     dec = decompose_discriminant(m)
                     corr = local_correction(p, dec.disc, valuation(p, dec.conductor), k)
@@ -169,20 +210,13 @@ def verify_class_identities(bounds: ClassSumBounds = ClassSumBounds()) -> SuiteR
                     tally.check(
                         cohen_h_level(level * p, k, p * p * m) == cohen_h_level(level * p, k, m),
                         f"p^2 stability fails at {here}")
-    for k in bounds.weights:
+    for k in CLASS_WEIGHTS:
         for m in range(1, max(bounds.m_max, 1000) + 1):
             if m % 4 in (1, 2):
                 continue
-            tally.check(cohen_h_level(1, k, m) == cohen_h(k, m),
-                        f"level 1 disagrees with plain sum at k={k} M={m}")
+            tally.check(cohen_h_level(1, k, m) == _level_one_euler_product(k, m),
+                        f"level 1 disagrees with Euler product at k={k} M={m}")
     return tally.report()
-
-
-@dataclass(frozen=True)
-class LocalSumBounds:
-    prime_max: int = 7
-    order_max: int = 4
-    weights: tuple[int, ...] = (4, 6, 8)
 
 
 def _fundamental_with_character(p: int, chi: int) -> int:
@@ -193,22 +227,22 @@ def _fundamental_with_character(p: int, chi: int) -> int:
         d -= 1
 
 
-def verify_local_sums(bounds: LocalSumBounds = LocalSumBounds()) -> SuiteReport:
+def verify_local_sums() -> SuiteReport:
     """Sums of the local factors against the correction-factor sums.
 
     The definite identity needs u <= v, which every genuine matrix satisfies
     because the content divides the conductor.
     """
     tally = _Tally("identities/local-sums")
-    for p in _primes_up_to(bounds.prime_max):
-        for k in bounds.weights:
-            for u in range(bounds.order_max + 1):
+    for p in _primes_up_to(LOCAL_PRIME_MAX):
+        for k in LOCAL_WEIGHTS:
+            for u in range(LOCAL_ORDER_MAX + 1):
                 want = sum(p ** (j * (k - 1)) for j in range(u + 1))
                 got = sum((singular_local_factor(i, p, u, k) for i in range(3)), Fraction(0))
                 tally.check(got == want, f"singular sum fails at p={p} u={u} k={k}")
             for chi in (-1, 0, 1):
                 disc = _fundamental_with_character(p, chi)
-                for v in range(bounds.order_max + 1):
+                for v in range(LOCAL_ORDER_MAX + 1):
                     for u in range(v + 1):
                         orders = LocalOrders(p, u, v, chi)
                         got = sum((definite_local_factor(i, orders, k) for i in range(3)),
@@ -225,25 +259,17 @@ def verify_local_sums(bounds: LocalSumBounds = LocalSumBounds()) -> SuiteReport:
     return tally.report()
 
 
-@dataclass(frozen=True)
-class HeckeBounds:
-    levels: tuple[int, ...] = (1, 3, 7)
-    primes: tuple[int, ...] = (2, 3, 5)
-    weights: tuple[int, ...] = (4, 6)
-    matrix_count: int = 30
-
-
-def verify_hecke(bounds: HeckeBounds = HeckeBounds()) -> SuiteReport:
+def verify_hecke(bounds: VerifyBounds = VerifyBounds()) -> SuiteReport:
     """Eigenvalue of the good-prime operator, and the triangular systems of
     the two bad-prime operators on the next level's basis."""
     tally = _Tally("hecke")
-    mats = reduced_representatives(48, 6, include_zero=True)[:bounds.matrix_count]
-    for level in bounds.levels:
-        for p in bounds.primes:
+    mats = reduced_representatives(48, 6, include_zero=True)[:bounds.t_count]
+    for level in HECKE_LEVELS:
+        for p in HECKE_PRIMES:
             if level % p == 0:
                 continue
             pf = Fraction(p)
-            for k in bounds.weights:
+            for k in HECKE_WEIGHTS:
                 eigen = p ** (2 * k - 3) + p ** (k - 1) + p ** (k - 2) + 1
                 for part in partitions_of_level(level):
                     spec = EisensteinSpec(k, part)
@@ -279,22 +305,11 @@ def verify_hecke(bounds: HeckeBounds = HeckeBounds()) -> SuiteReport:
     return tally.report()
 
 
-@dataclass(frozen=True)
-class LatticeBounds:
-    delta_max: int = 30
-    singular_content_max: int = 10
-    workers: int = 1
-
-    def __post_init__(self) -> None:
-        if self.workers < 1:
-            raise ValueError("workers must be at least 1")
-
-
-def verify_lattices(bounds: LatticeBounds = LatticeBounds()) -> SuiteReport:
+def verify_lattices(bounds: VerifyBounds = VerifyBounds()) -> SuiteReport:
     """Genus decomposition table, then formula versus enumeration with an
     integrality check, for every built-in lattice."""
     tally = _Tally("lattices")
-    mats = reduced_representatives(bounds.delta_max, bounds.singular_content_max,
+    mats = reduced_representatives(bounds.lattice_delta_max, bounds.lattice_sing_max,
                                    include_zero=True)
     max_norm = max(2 * max(t.m, t.n) for t in mats)
     for name in BUILTIN_NAMES:
@@ -316,21 +331,18 @@ def verify_lattices(bounds: LatticeBounds = LatticeBounds()) -> SuiteReport:
 SUITE_NAMES = ("identities", "hecke", "lattices", "all")
 
 
-def run_suites(name: str,
-               coefficient_bounds: CoefficientBounds = CoefficientBounds(),
-               class_bounds: ClassSumBounds = ClassSumBounds(),
-               local_bounds: LocalSumBounds = LocalSumBounds(),
-               hecke_bounds: HeckeBounds = HeckeBounds(),
-               lattice_bounds: LatticeBounds = LatticeBounds()) -> list[SuiteReport]:
+def run_suites(name: str, bounds: VerifyBounds = VerifyBounds()) -> list[SuiteReport]:
+    # Each suite is called through its module-global name, so a caller that
+    # rebinds one (as a tracer does) sees every call.
     if name not in SUITE_NAMES:
         raise ValueError(f"unknown suite {name!r}; choose one of {SUITE_NAMES}")
     reports = []
     if name in ("identities", "all"):
-        reports.append(verify_local_sums(local_bounds))
-        reports.append(verify_class_identities(class_bounds))
-        reports.append(verify_coefficient_identities(coefficient_bounds))
+        reports.append(verify_local_sums())
+        reports.append(verify_class_identities(bounds))
+        reports.append(verify_coefficient_identities(bounds))
     if name in ("hecke", "all"):
-        reports.append(verify_hecke(hecke_bounds))
+        reports.append(verify_hecke(bounds))
     if name in ("lattices", "all"):
-        reports.append(verify_lattices(lattice_bounds))
+        reports.append(verify_lattices(bounds))
     return reports

@@ -20,10 +20,6 @@ from siegelrep.eisenstein import (
 from siegelrep.lattice import BUILTIN_NAMES, builtin_lattice, genus_coefficients, genus_rep_number
 from siegelrep.theta import rep_deg2, shells
 from siegelrep.verify import (
-    ClassSumBounds,
-    CoefficientBounds,
-    HeckeBounds,
-    LocalSumBounds,
     EXPECTED_GENUS_TABLES,
     verify_class_identities,
     verify_coefficient_identities,
@@ -79,28 +75,23 @@ def test_criterion_2_level_one_base_case(five_lattice_data):
 
 
 def test_criterion_3_level_raising_oracle():
-    report = verify_coefficient_identities(CoefficientBounds(
-        level_max=15, prime_max=5, weights=(4, 6), delta_max=50,
-        singular_content_max=12))
+    report = verify_coefficient_identities()
     _report("criterion 3 (level raising vs direct, decomposition sums)",
             report.failures)
 
 
 def test_criterion_4_class_sum_identities():
-    report = verify_class_identities(ClassSumBounds(
-        level_max=30, prime_max=7, m_max=500, weights=(4, 6)))
+    report = verify_class_identities()
     _report("criterion 4 (class-number level and p^2 identities)", report.failures)
 
 
 def test_criterion_5_hecke_relations():
-    report = verify_hecke(HeckeBounds(levels=(1, 3, 7), primes=(2, 3, 5),
-                                      weights=(4, 6), matrix_count=30))
+    report = verify_hecke()
     _report("criterion 5 (Hecke eigenvalue and triangular systems)", report.failures)
 
 
 def test_criterion_6_local_factor_sums():
-    report = verify_local_sums(LocalSumBounds(prime_max=7, order_max=4,
-                                              weights=(4, 6, 8)))
+    report = verify_local_sums()
     _report("criterion 6 (local factor sum identities)", report.failures)
 
 

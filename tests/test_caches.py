@@ -12,7 +12,7 @@ import pytest
 
 import siegelrep
 from siegelrep import theta
-from siegelrep.classnumbers import cohen_h
+from siegelrep.classnumbers import cohen_h_level
 from siegelrep.eisenstein import (
     EisensteinSpec,
     HalfIntegralMatrix,
@@ -65,7 +65,7 @@ def test_only_exactmath_imports_functools_caching():
 
 def test_clear_caches_empties_every_table():
     sample_values()
-    cohen_h(4, 3)
+    cohen_h_level(1, 4, 3)
     tables = memo_tables()
     assert all(table.cache_info().currsize > 0 for table in tables)
     assert theta._stores and theta._hists

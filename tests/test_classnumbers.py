@@ -3,29 +3,37 @@ from math import gcd
 
 import pytest
 
-from siegelrep.classnumbers import cohen_h, cohen_h_level, class_divisor_sum, local_correction
-from siegelrep.exactmath import decompose_discriminant, kronecker_symbol, l_negative, moebius
-from siegelrep.verify import ClassSumBounds, verify_class_identities
+from siegelrep import classnumbers
+from siegelrep.classnumbers import cohen_h_level, class_divisor_sum, local_correction
+from siegelrep.exactmath import (
+    clear_caches,
+    decompose_discriminant,
+    divisors,
+    kronecker_symbol,
+    l_negative,
+    moebius,
+)
+from siegelrep.verify import VerifyBounds, verify_class_identities
 
 
 class TestCohenH:
     def test_conductor_one(self):
-        assert cohen_h(4, 3) == Fraction(-2, 9)
-        assert cohen_h(4, 4) == Fraction(-1, 2)
+        assert cohen_h_level(1, 4, 3) == Fraction(-2, 9)
+        assert cohen_h_level(1, 4, 4) == Fraction(-1, 2)
 
     def test_conductor_two(self):
         # L(-2, chi_-3) * (sigma_5(2) + kron(-3,2) * mu(2) * 2^2)
-        assert cohen_h(4, 12) == Fraction(-2, 9) * (33 + 4)
+        assert cohen_h_level(1, 4, 12) == Fraction(-2, 9) * (33 + 4)
 
     def test_level_restriction(self):
-        assert cohen_h_level(1, 4, 12) == cohen_h(4, 12)
+        assert cohen_h_level(1, 4, 12) == Fraction(-2, 9) * (33 + 4)
         assert cohen_h_level(2, 4, 12) == Fraction(-2, 9)
         assert cohen_h_level(5, 4, 3) == Fraction(-2, 9)
 
     @pytest.mark.parametrize("bad", [1, 2, 5, 13, -3, 0])
     def test_rejects_bad_argument(self, bad):
         with pytest.raises(ValueError):
-            cohen_h(4, bad)
+            cohen_h_level(1, 4, bad)
 
     def test_rejects_bad_level_or_weight(self):
         with pytest.raises(ValueError):
@@ -82,5 +90,23 @@ class TestLocalCorrection:
 
 
 def test_identity_suite_small():
-    report = verify_class_identities(ClassSumBounds(level_max=10, prime_max=5, m_max=120))
+    report = verify_class_identities(VerifyBounds(m_max=120))
     assert report.ok, report.failures
+
+
+def test_level_one_check_catches_a_dropped_moebius_factor(monkeypatch):
+    def without_moebius(level, k, disc, conductor):
+        return sum(kronecker_symbol(disc, g) * g ** (k - 2)
+                   * sum(h ** (2 * k - 3) for h in divisors(conductor // g))
+                   for g in divisors(conductor))
+
+    monkeypatch.setattr(classnumbers, "class_divisor_sum", without_moebius)
+    clear_caches()
+    try:
+        # m_max=0 leaves only the 1,000 level 1 checks.
+        report = verify_class_identities(VerifyBounds(m_max=0))
+    finally:
+        clear_caches()
+    assert report.checks == 1000
+    assert report.failures
+    assert all(f.startswith("level 1 disagrees") for f in report.failures)

@@ -1,10 +1,14 @@
 import csv
 import io
 import json
+from dataclasses import asdict
 from fractions import Fraction
 
-from siegelrep.cli import main
+import pytest
+
+from siegelrep.cli import _build_parser, main
 from siegelrep.lattice import builtin_lattice, format_gram
+from siegelrep.verify import VerifyBounds
 
 COEFF_KEYS = ["k", "n0", "n1", "n2", "m", "r", "n", "delta", "content",
               "disc", "conductor", "value"]
@@ -133,3 +137,19 @@ class TestVerify:
         assert code == 2
         assert captured.out == ""
         assert "workers must be at least 1" in captured.err
+
+    @pytest.mark.parametrize("flag", ["--delta-max", "--sing-max", "--level-max",
+                                      "--prime-max", "--m-max", "--t-count",
+                                      "--lattice-delta-max", "--lattice-sing-max"])
+    def test_negative_bound_is_usage_error(self, capsys, flag):
+        code = main(["verify", "hecke", flag, "-5"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        field = flag[2:].replace("-", "_")
+        assert captured.err == f"error: {field} must be non-negative, got -5\n"
+
+    def test_flag_defaults_are_the_bounds_defaults(self):
+        args = _build_parser().parse_args(["verify", "all"])
+        assert {name: getattr(args, name) for name in asdict(VerifyBounds())} \
+            == asdict(VerifyBounds())

@@ -19,7 +19,7 @@ from siegelrep.eisenstein import (
     reduced_representatives,
     singular_local_factor,
 )
-from siegelrep.verify import CoefficientBounds, verify_coefficient_identities
+from siegelrep.verify import VerifyBounds, verify_coefficient_identities
 
 K4_LEVEL1 = EisensteinSpec(4, LevelPartition(1, 1, 1))
 T111 = HalfIntegralMatrix(1, 1, 1)
@@ -179,8 +179,7 @@ class TestHecke:
 
 
 def test_identity_suite_small():
-    bounds = CoefficientBounds(level_max=6, prime_max=3, weights=(4,), delta_max=20,
-                               singular_content_max=4)
+    bounds = VerifyBounds(level_max=6, prime_max=3, delta_max=20, sing_max=4)
     report = verify_coefficient_identities(bounds)
     assert report.ok, report.failures
 

@@ -5,6 +5,8 @@ The corpus covers the coefficient engine (coeff), the lattice level, Hasse
 invariants and genus weights (through the rep formula values) and the
 enumeration bounds (through the rep counts).  Each file holds the stdout of
 the case of the same name; exit_codes.json maps every case to its exit code.
+The verify cases set every VerifyBounds field to a value that changes a
+check count, and all exit 0.
 """
 
 import json
@@ -36,3 +38,20 @@ def test_golden_output(name, capsys):
     out = capsys.readouterr().out
     assert out.encode() == (GOLDEN / name).read_bytes()
     assert code == json.loads((GOLDEN / "exit_codes.json").read_text())[name]
+
+
+VERIFY_CASES = {
+    "verify_identities_reduced.txt": ["verify", "identities", "--level-max", "6",
+                                      "--prime-max", "3", "--delta-max", "20",
+                                      "--sing-max", "4", "--m-max", "120"],
+    "verify_hecke_t5.txt": ["verify", "hecke", "--t-count", "5"],
+    "verify_lattices_reduced.txt": ["verify", "lattices", "--lattice-delta-max", "6",
+                                    "--lattice-sing-max", "2", "--workers", "2"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(VERIFY_CASES))
+def test_golden_verify_output(name, capsys):
+    code = main(VERIFY_CASES[name])
+    assert capsys.readouterr().out.encode() == (GOLDEN / name).read_bytes()
+    assert code == 0

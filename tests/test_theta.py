@@ -13,7 +13,7 @@ from siegelrep.eisenstein import HalfIntegralMatrix
 from siegelrep.exactmath import clear_caches
 from siegelrep.lattice import GramMatrix, builtin_lattice, genus_rep_number
 from siegelrep.theta import rep_deg1, rep_deg2, shells
-from siegelrep.verify import LatticeBounds
+from siegelrep.verify import VerifyBounds
 
 DIAG22 = GramMatrix.from_rows([[2, 0], [0, 2]])
 A2 = GramMatrix.from_rows([[2, 1], [1, 2]])
@@ -163,7 +163,7 @@ class TestRepDeg2:
         with pytest.raises(ValueError, match="workers"):
             rep_deg2(TOY3, HalfIntegralMatrix(1, 0, 1), workers=0)
         with pytest.raises(ValueError, match="workers"):
-            LatticeBounds(workers=0)
+            VerifyBounds(workers=0)
 
     def test_vectors_are_int64(self):
         shell = shells(A2, 6)[0]

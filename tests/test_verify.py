@@ -1,0 +1,56 @@
+from dataclasses import FrozenInstanceError, asdict, fields
+
+import pytest
+
+from siegelrep import verify
+from siegelrep.verify import SuiteReport, VerifyBounds, run_suites
+
+
+class TestVerifyBounds:
+    def test_defaults(self):
+        assert asdict(VerifyBounds()) == {
+            "delta_max": 50, "sing_max": 12, "level_max": 15, "prime_max": 5,
+            "m_max": 500, "t_count": 30, "lattice_delta_max": 30,
+            "lattice_sing_max": 10, "workers": 1}
+
+    @pytest.mark.parametrize("name", [f.name for f in fields(VerifyBounds)
+                                      if f.name != "workers"])
+    def test_rejects_negative(self, name):
+        with pytest.raises(ValueError, match=f"^{name} must be non-negative, got -1$"):
+            VerifyBounds(**{name: -1})
+        assert getattr(VerifyBounds(**{name: 0}), name) == 0
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_rejects_workers_below_one(self, workers):
+        with pytest.raises(ValueError, match="workers must be at least 1"):
+            VerifyBounds(workers=workers)
+
+    def test_frozen(self):
+        with pytest.raises(FrozenInstanceError):
+            VerifyBounds().m_max = 1
+
+
+def test_run_suites_calls_suites_through_module_globals(monkeypatch):
+    seen = []
+
+    def fake(name):
+        def suite(*args):
+            seen.append((name, args))
+            return SuiteReport(name, 0, ())
+        return suite
+
+    for name in ("verify_local_sums", "verify_class_identities",
+                 "verify_coefficient_identities", "verify_hecke", "verify_lattices"):
+        monkeypatch.setattr(verify, name, fake(name))
+    bounds = VerifyBounds(t_count=3)
+    reports = run_suites("all", bounds)
+    assert [r.name for r in reports] == [
+        "verify_local_sums", "verify_class_identities", "verify_coefficient_identities",
+        "verify_hecke", "verify_lattices"]
+    assert seen[0][1] == ()
+    assert all(args == (bounds,) for _, args in seen[1:])
+
+
+def test_run_suites_rejects_unknown_name():
+    with pytest.raises(ValueError, match="unknown suite"):
+        run_suites("nonsense")
