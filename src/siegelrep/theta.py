@@ -20,6 +20,16 @@ is the same for all three.  A histogram keeps only the values r that occur,
 with their counts, so a Gram matrix with huge entries costs no more than its
 products.  Counts are exact ints.
 
+The dense float64 tier packs p <= 4 cross products into each product as
+base-K digits, K = 2 bound + 1 the number of keys.  A packed row is
+sum_j K^(p-1-j) [x_j S | shift] over p rows x_j of a tile, so against a
+column [y | 1] it gives sum_j K^(p-1-j) (x_j' S y + shift), and one
+bincount over K^p bins, summed over all but one digit at a time, counts all
+p products.  p is the largest with K^p <= 2^16 whose packed sums stay below
+2^53, checked at run time; else p = 1, one product per output.  A tile whose
+height is not a multiple of p is padded with zero rows; their products,
+all of key 0, are subtracted again.
+
 Shells and pair histograms are cached per Gram matrix behind a lock, are
 read-only once built, and are emptied by exactmath.clear_caches(); the
 optional worker pool only splits the list of product blocks, so counts cannot
@@ -45,6 +55,11 @@ __all__ = ["VectorShell", "shells", "rep_deg1", "rep_deg2"]
 # take 2 MB each, little next to the cached shells; blocks of 4 M entries
 # were slower and raised the peak memory by 64 MB.
 _BLOCK = 250_000
+
+# The packed float64 tier: at most _PACK_MAX cross products per matmul
+# output, and at most _PACK_BINS histogram bins for the packed keys.
+_PACK_MAX = 4
+_PACK_BINS = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -268,6 +283,32 @@ def _absmax(values: np.ndarray) -> int:
     return max(-int(values.min()), int(values.max()))
 
 
+def _pack_width(base: int, prod_bound: int) -> int:
+    """The number p of cross products that one float64 product carries as
+    base-`base` digits: the largest p <= _PACK_MAX with base^p <=
+    _PACK_BINS and (sum_{j<p} base^j) * prod_bound < 2^53, where prod_bound
+    bounds every |x' S y + shift|; 1 when no larger p passes."""
+    digits = 1
+    while (digits < _PACK_MAX and base ** (digits + 1) <= _PACK_BINS
+           and sum(base ** j for j in range(digits + 1)) * prod_bound < 2 ** 53):
+        digits += 1
+    return digits
+
+
+def _pack(block: np.ndarray, digits: int, base: int) -> tuple[np.ndarray, int]:
+    """The rows of block, `digits` to a row: with g = ceil(len(block) /
+    digits), row i is sum_j base^(digits-1-j) block[i + j g], and a row past
+    the end of block counts as zero.  Returns the packed rows and the number
+    of zero rows."""
+    groups = -(-len(block) // digits)
+    packed = block[:groups].copy()
+    for j in range(1, digits):
+        packed *= base
+        rows = block[j * groups:(j + 1) * groups]
+        packed[:len(rows)] += rows
+    return packed, groups * digits - len(block)
+
+
 def _merge(parts: list[tuple[np.ndarray, np.ndarray]], dtype) -> tuple[np.ndarray, np.ndarray]:
     """The exact sum of histograms given as (keys, counts): the sorted
     distinct keys, of the given dtype, and their int64 counts."""
@@ -313,7 +354,12 @@ def _pair_counts(gram: GramMatrix, norm_a: int, norm_b: int,
         right = np.vstack((hb.T, np.ones(len(hb), dtype=np.int64))).astype(pdtype)
         # Keys are counted densely, unless their range is wider than the
         # products; then each tile's distinct keys are counted.
-        dense = 2 * bound + 1 <= len(ha) * len(hb)
+        base = 2 * bound + 1
+        dense = base <= len(ha) * len(hb)
+        # Dense float64 products carry `digits` keys each, as base-`base`
+        # digits (see the module docstring).
+        digits = (_pack_width(base, row_sum * _absmax(hb))
+                  if dense and pdtype is np.float64 else 1)
 
         def count(tiles: list[tuple[slice, slice, int]]) -> tuple[np.ndarray, np.ndarray]:
             # All of a worker's tiles share one pair of buffers: allocated
@@ -322,12 +368,17 @@ def _pair_counts(gram: GramMatrix, norm_a: int, norm_b: int,
             cap = min(_BLOCK, len(ha) * len(hb))
             buf = np.empty(cap, dtype=pdtype)
             keys = np.empty(cap, dtype=kdtype)
-            part = np.zeros(2 * bound + 1 if dense else 0, dtype=np.int64)
+            part = np.zeros(base ** digits if dense else 0, dtype=np.int64)
+            padded = 0  # weighted products of the zero rows packing adds
             found = []
             for rows, cols, weight in tiles:
-                size = (rows.stop - rows.start) * (cols.stop - cols.start)
-                prods = buf[:size].reshape(rows.stop - rows.start, -1)
-                np.matmul(left[rows], right[:, cols], out=prods)
+                block = left[rows]
+                if digits > 1:
+                    block, pad = _pack(block, digits, base)
+                    padded += weight * pad * (cols.stop - cols.start)
+                size = len(block) * (cols.stop - cols.start)
+                prods = buf[:size].reshape(len(block), -1)
+                np.matmul(block, right[:, cols], out=prods)
                 if step != 1:
                     prods //= step
                 np.copyto(keys[:size], prods.ravel(), casting="unsafe")
@@ -337,7 +388,12 @@ def _pair_counts(gram: GramMatrix, norm_a: int, norm_b: int,
                     distinct, times = np.unique(keys[:size], return_counts=True)
                     found.append((distinct, weight * times))
             if dense:
-                found.append((np.flatnonzero(part), part[part != 0]))
+                # Each digit's own histogram, summed; a zero row's digit is
+                # 0 against every column.
+                hist = sum(part.reshape(base ** j, base, -1).sum(axis=(0, 2))
+                           for j in range(digits))
+                hist[0] -= padded
+                found.append((np.flatnonzero(hist), hist[hist != 0]))
             return _merge(found, kdtype)
 
         tiles = _blocks(len(ha), len(hb), lo == hi)

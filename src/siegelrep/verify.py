@@ -104,6 +104,8 @@ LOCAL_WEIGHTS = (4, 6, 8)
 HECKE_LEVELS = (1, 3, 7)
 HECKE_PRIMES = (2, 3, 5)
 HECKE_WEIGHTS = (4, 6)
+# The matrices of the Hecke suite; t_count takes a prefix of these 55.
+HECKE_GRID = tuple(reduced_representatives(48, 6, include_zero=True))
 
 
 @dataclass(frozen=True)
@@ -111,8 +113,10 @@ class VerifyBounds:
     """The settable bounds of every suite, each a CLI flag of the same name
     (delta_max is --delta-max).  delta_max, sing_max, level_max and prime_max
     bound the coefficient suite, m_max the class sums, t_count the Hecke
-    matrices, and lattice_delta_max, lattice_sing_max and workers the lattice
-    oracle.  Negative values are refused, and so is workers below 1."""
+    matrices (at most len(HECKE_GRID)), and lattice_delta_max,
+    lattice_sing_max and workers the lattice oracle.  Negative values are
+    refused, and so are workers below 1 and a t_count the grid cannot
+    hold."""
     delta_max: int = 50
     sing_max: int = 12
     level_max: int = 15
@@ -130,6 +134,8 @@ class VerifyBounds:
             value = getattr(self, field.name)
             if value < 0:
                 raise ValueError(f"{field.name} must be non-negative, got {value}")
+        if self.t_count > len(HECKE_GRID):
+            raise ValueError(f"t_count must be at most {len(HECKE_GRID)}, got {self.t_count}")
 
 
 def _primes_up_to(limit: int) -> list[int]:
@@ -263,7 +269,7 @@ def verify_hecke(bounds: VerifyBounds = VerifyBounds()) -> SuiteReport:
     """Eigenvalue of the good-prime operator, and the triangular systems of
     the two bad-prime operators on the next level's basis."""
     tally = _Tally("hecke")
-    mats = reduced_representatives(48, 6, include_zero=True)[:bounds.t_count]
+    mats = HECKE_GRID[:bounds.t_count]
     for level in HECKE_LEVELS:
         for p in HECKE_PRIMES:
             if level % p == 0:

@@ -149,6 +149,18 @@ class TestVerify:
         field = flag[2:].replace("-", "_")
         assert captured.err == f"error: {field} must be non-negative, got -5\n"
 
+    def test_t_count_beyond_the_hecke_grid_is_usage_error(self, capsys):
+        code = main(["verify", "hecke", "--t-count", "56"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: t_count must be at most 55, got 56\n"
+
+    def test_t_count_of_the_whole_hecke_grid_runs(self, capsys):
+        code, out = run(capsys, "verify", "hecke", "--t-count", "55")
+        assert code == 0
+        assert out.startswith("hecke: ") and "0 failures" in out
+
     def test_flag_defaults_are_the_bounds_defaults(self):
         args = _build_parser().parse_args(["verify", "all"])
         assert {name: getattr(args, name) for name in asdict(VerifyBounds())} \

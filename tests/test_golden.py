@@ -6,7 +6,9 @@ invariants and genus weights (through the rep formula values) and the
 enumeration bounds (through the rep counts).  Each file holds the stdout of
 the case of the same name; exit_codes.json maps every case to its exit code.
 The verify cases set every VerifyBounds field to a value that changes a
-check count, and all exit 0.
+check count, and all exit 0.  So does the S1 count at T = (4, 1, 4), whose
+norms 8 x 8 run the packed pair kernel (three cross products per float64
+product); its files were written by the unpacked kernel.
 """
 
 import json
@@ -53,5 +55,17 @@ VERIFY_CASES = {
 @pytest.mark.parametrize("name", sorted(VERIFY_CASES))
 def test_golden_verify_output(name, capsys):
     code = main(VERIFY_CASES[name])
+    assert capsys.readouterr().out.encode() == (GOLDEN / name).read_bytes()
+    assert code == 0
+
+
+PACKED_CASES = {f"rep_S1_T4-1-4.{fmt}": ["rep", "--lattice", "S1", "-T", "4,1,4",
+                                        "--mode", "both", "--format", fmt]
+                for fmt in ("json", "csv")}
+
+
+@pytest.mark.parametrize("name", sorted(PACKED_CASES))
+def test_golden_packed_output(name, capsys):
+    code = main(PACKED_CASES[name])
     assert capsys.readouterr().out.encode() == (GOLDEN / name).read_bytes()
     assert code == 0

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import tracemalloc
 from fractions import Fraction
@@ -475,3 +476,129 @@ class TestSparseHistogram:
             assert 2 * isqrt(a * b) + 1 > halves[a] * halves[b]
             assert kernel_counts(gram, a, b, workers) == full_product_counts(gram, a, b)
         clear_caches()
+
+
+D4 = GramMatrix.from_rows([[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]])
+
+
+# full_product_counts, computed once per Gram matrix and norm pair.
+full_counts = functools.cache(full_product_counts)
+
+
+class TestPackedKernel:
+    """Dense float64 products carry p cross products each, as base-K digits
+    with K = 2 bound + 1; every p must give the counts of full products."""
+
+    @pytest.fixture
+    def packed(self, monkeypatch):
+        """The digit counts p chosen from now on."""
+        seen = set()
+        pick = theta._pack_width
+
+        def spy(base, prod_bound):
+            digits = pick(base, prod_bound)
+            seen.add(digits)
+            return digits
+
+        monkeypatch.setattr(theta, "_pack_width", spy)
+        return seen
+
+    @pytest.fixture
+    def force(self, monkeypatch):
+        """Cap p through the private _PACK_MAX, with cold histograms."""
+        def cap(digits):
+            monkeypatch.setattr(theta, "_PACK_MAX", digits)
+            clear_caches()
+        yield cap
+        clear_caches()
+
+    @pytest.mark.parametrize("digits", [1, 2, 3, 4])
+    @pytest.mark.parametrize("name", BUILTINS)
+    def test_every_width_matches_full_products(self, name, digits, packed, force):
+        # K <= 13 for norms up to 6, so 13^4 bins fit and p reaches the cap.
+        gram = builtin_lattice(name)
+        force(digits)
+        for a, b in PAIRS:
+            assert kernel_counts(gram, a, b) == full_counts(gram, a, b)
+        assert packed == {digits}
+
+    @pytest.mark.parametrize("name, digits", [
+        ("TOY3", 2), ("TOY3", 4), ("S3", 3), ("S2", 4), ("S5", 3)])
+    def test_half_shells_not_multiples_of_p(self, name, digits, packed, force):
+        # Packing leaves zero rows in the last tile of a half-shell; TOY3's
+        # 3-row half-shells at p = 4 leave a whole digit group empty.
+        gram = TOY3 if name == "TOY3" else builtin_lattice(name)
+        force(digits)
+        assert any(len(sh.half) % digits for sh in shells(gram, 6))
+        for a, b in PAIRS:
+            assert kernel_counts(gram, a, b) == full_counts(gram, a, b)
+        assert packed == {digits}
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("digits", [2, 3, 4])
+    def test_diagonal_tiles_small_block(self, digits, workers, packed, force, monkeypatch):
+        # _BLOCK = 256 makes tiles of 4 rows: with p = 3 each leaves 2 zero
+        # rows, on the diagonal tiles (weight 1) and off them (weight 2).
+        gram = builtin_lattice("S3")
+        monkeypatch.setattr(theta, "_BLOCK", 256)
+        force(digits)
+        half = len(shells(gram, 6)[-1].half)
+        weights = {w for *_, w in theta._blocks(half, half, True)}
+        assert weights == {1, 2}
+        for a, b in PAIRS:
+            assert kernel_counts(gram, a, b, workers) == full_counts(gram, a, b)
+        assert packed == {digits}
+
+    @pytest.mark.parametrize("digits", [1, 2, 3, 4])
+    def test_step_above_one(self, digits, packed, force):
+        # 2 S3: every product is even, so keys are products / 2.
+        rows = builtin_lattice("S3").rows
+        gram = GramMatrix.from_rows([[2 * v for v in row] for row in rows])
+        force(digits)
+        for a, b in PAIRS:
+            want = full_counts(gram, 2 * a, 2 * b)
+            assert want == {2 * r: n for r, n in
+                            full_counts(GramMatrix.from_rows(rows), a, b).items()}
+            assert kernel_counts(gram, 2 * a, 2 * b) == want
+        assert packed == {digits}
+
+    @pytest.mark.parametrize("a, b, base, digits", [
+        (6, 10, 15, 4), (8, 8, 17, 3), (8, 48, 39, 3), (8, 52, 41, 2),
+        (120, 136, 255, 2), (128, 130, 257, 1)])
+    def test_bin_cap(self, a, b, base, digits, packed, force):
+        # K on each side of the largest K with K^p <= 2^16 bins, for p = 4,
+        # 3, 2 and 1.
+        force(4)
+        assert 2 * isqrt(a * b) + 1 == base
+        assert base ** digits <= theta._PACK_BINS < base ** (digits + 1)
+        assert kernel_counts(D4, a, b) == full_counts(D4, a, b)
+        assert packed == {digits}
+
+    @pytest.mark.parametrize("slack, digits", [(0, 3), (1, 2)])
+    def test_bins_equal_to_cap(self, slack, digits, packed, force, monkeypatch):
+        # K = 13 for norms 6 x 6: 13^3 bins fit a cap of exactly 13^3.
+        monkeypatch.setattr(theta, "_PACK_BINS", 13 ** 3 - slack)
+        force(4)
+        assert kernel_counts(TOY3, 6, 6) == full_counts(TOY3, 6, 6)
+        assert packed == {digits}
+
+    @pytest.mark.parametrize("c, digits", [(2 ** 44, 2), (2 ** 46, 1)])
+    def test_float_bound_forces_one_digit(self, c, digits, packed, force, monkeypatch):
+        # TOY3 scaled by c: products stay below 2^53 in float64, but at
+        # c = 2^46 two packed digits would not.
+        products = set()
+        pick = theta._exact_dtype
+
+        def spy(bound, floats=False):
+            dtype = pick(bound, floats)
+            if floats:
+                products.add(dtype)
+            return dtype
+
+        monkeypatch.setattr(theta, "_exact_dtype", spy)
+        force(4)
+        gram = GramMatrix.from_rows([[c * v for v in row] for row in TOY3.rows])
+        want = {c * r: n for r, n in full_counts(TOY3, 6, 8).items()}
+        assert kernel_counts(gram, 6 * c, 8 * c) == want
+        assert products == {np.float64}
+        assert packed == {digits}

@@ -25,6 +25,12 @@ class TestVerifyBounds:
         with pytest.raises(ValueError, match="workers must be at least 1"):
             VerifyBounds(workers=workers)
 
+    def test_t_count_up_to_the_hecke_grid(self):
+        assert len(verify.HECKE_GRID) == 55
+        assert VerifyBounds(t_count=55).t_count == 55
+        with pytest.raises(ValueError, match="^t_count must be at most 55, got 56$"):
+            VerifyBounds(t_count=56)
+
     def test_frozen(self):
         with pytest.raises(FrozenInstanceError):
             VerifyBounds().m_max = 1
