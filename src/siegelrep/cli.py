@@ -74,11 +74,14 @@ def _matrix_record(t: HalfIntegralMatrix) -> dict:
 def _cmd_coeff(args) -> int:
     try:
         spec = EisensteinSpec(args.weight, LevelPartition(*_parse_triple(args.partition, "partition")))
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         print(f"error: invalid series spec: {exc}", file=sys.stderr)
         return 2
     if args.matrix is None and args.delta_max is None:
         print("error: give -T or --delta-max", file=sys.stderr)
+        return 2
+    if args.delta_max is not None and args.delta_max < 0:
+        print(f"error: --delta-max must be non-negative, got {args.delta_max}", file=sys.stderr)
         return 2
     try:
         if args.matrix is not None:
@@ -90,12 +93,17 @@ def _cmd_coeff(args) -> int:
         print(f"error: invalid matrix: {exc}", file=sys.stderr)
         return 3
     records = []
-    for t in mats:
-        rec = {"k": spec.k, "n0": spec.partition.n0, "n1": spec.partition.n1,
-               "n2": spec.partition.n2}
-        rec.update(_matrix_record(t))
-        rec["value"] = _frac(fourier_coefficient(spec, t))
-        records.append(rec)
+    try:
+        for t in mats:
+            rec = {"k": spec.k, "n0": spec.partition.n0, "n1": spec.partition.n1,
+                   "n2": spec.partition.n2}
+            rec.update(_matrix_record(t))
+            rec["value"] = _frac(fourier_coefficient(spec, t))
+            records.append(rec)
+    except OverflowError as exc:
+        # The level passed FACTOR_GUARD above, so the matrix is past it.
+        print(f"error: invalid matrix: {exc}", file=sys.stderr)
+        return 3
     _emit(records, args.format, sys.stdout)
     return 0
 
@@ -119,13 +127,13 @@ def _cmd_rep(args) -> int:
     except ValueError:
         # odd rank has no profile; enumeration is still fine
         level = None
+    rec = {"lattice": label, "level": level}
     try:
         t = HalfIntegralMatrix(*_parse_triple(args.matrix, "matrix"))
-    except ValueError as exc:
+        rec.update(_matrix_record(t))
+    except (ValueError, OverflowError) as exc:
         print(f"error: invalid matrix: {exc}", file=sys.stderr)
         return 3
-    rec = {"lattice": label, "level": level}
-    rec.update(_matrix_record(t))
     rec.update({"mode": args.mode, "value": None, "count": None, "match": None})
     status = 0
     try:
@@ -140,6 +148,10 @@ def _cmd_rep(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except OverflowError as exc:
+        # A rank 1 T past FACTOR_GUARD: its content is factored only here.
+        print(f"error: invalid matrix: {exc}", file=sys.stderr)
+        return 3
     _emit([rec], args.format, sys.stdout)
     return status
 
@@ -147,7 +159,7 @@ def _cmd_rep(args) -> int:
 def _cmd_basis(args) -> int:
     try:
         parts = partitions_of_level(args.level)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     records = []
@@ -224,7 +236,6 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--t-count", type=int)
     verify.add_argument("--lattice-delta-max", type=int)
     verify.add_argument("--lattice-sing-max", type=int)
-    verify.add_argument("--workers", type=int)
     verify.set_defaults(func=_cmd_verify, **asdict(VerifyBounds()))
 
     return parser

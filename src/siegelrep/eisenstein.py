@@ -147,6 +147,10 @@ class LocalOrders:
 
     def __post_init__(self) -> None:
         _require_prime(self.p)
+        _require_order("u", self.u)
+        _require_order("v", self.v)
+        if self.chi not in (-1, 0, 1):
+            raise ValueError(f"chi must be -1, 0 or 1, got {self.chi}")
 
 
 def partitions_of_level(level: int) -> tuple[LevelPartition, ...]:
@@ -166,6 +170,8 @@ def partitions_of_level(level: int) -> tuple[LevelPartition, ...]:
 def singular_local_factor(i: int, p: int, u: int, k: int) -> Fraction:
     """Factor at p for rank 1 coefficients, by the slot index i of p in the
     partition; u is the order of p in the content."""
+    _require_prime(p)
+    _require_order("u", u)
     if i == 2:
         return Fraction(0)
     x = p ** (k - 1)
@@ -277,6 +283,11 @@ def _definite_terms(level: int, k: int, delta: int, content: int) -> tuple[tuple
 def _require_prime(p: int) -> None:
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
+
+
+def _require_order(name: str, value: int) -> None:
+    if value < 0:
+        raise ValueError(f"{name} must be non-negative, got {value}")
 
 
 def raise_level(a_t, a_pt, a_p2t, p: int, k: int) -> tuple[Fraction, Fraction, Fraction]:

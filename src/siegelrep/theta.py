@@ -31,15 +31,12 @@ height is not a multiple of p is padded with zero rows; their products,
 all of key 0, are subtracted again.
 
 Shells and pair histograms are cached per Gram matrix behind a lock, are
-read-only once built, and are emptied by exactmath.clear_caches(); the
-optional worker pool only splits the list of product blocks, so counts cannot
-depend on scheduling.
+read-only once built, and are emptied by exactmath.clear_caches().
 """
 
 from __future__ import annotations
 
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import gcd, isqrt, lcm
 
@@ -319,8 +316,8 @@ def _merge(parts: list[tuple[np.ndarray, np.ndarray]], dtype) -> tuple[np.ndarra
     return keys, counts
 
 
-def _pair_counts(gram: GramMatrix, norm_a: int, norm_b: int,
-                 workers: int) -> tuple[int, np.ndarray, np.ndarray]:
+def _pair_counts(gram: GramMatrix, norm_a: int,
+                 norm_b: int) -> tuple[int, np.ndarray, np.ndarray]:
     """(step, keys, counts): the number of pairs (x, y) of norms
     (norm_a, norm_b) with x' S y = r is counts[i] for r = keys[i] * step and 0
     for an r not listed.  keys are sorted; every such r is a multiple of step,
@@ -361,47 +358,36 @@ def _pair_counts(gram: GramMatrix, norm_a: int, norm_b: int,
         digits = (_pack_width(base, row_sum * _absmax(hb))
                   if dense and pdtype is np.float64 else 1)
 
-        def count(tiles: list[tuple[slice, slice, int]]) -> tuple[np.ndarray, np.ndarray]:
-            # All of a worker's tiles share one pair of buffers: allocated
-            # and freed per tile, they were returned to the system and
-            # faulted in again on every tile.
-            cap = min(_BLOCK, len(ha) * len(hb))
-            buf = np.empty(cap, dtype=pdtype)
-            keys = np.empty(cap, dtype=kdtype)
-            part = np.zeros(base ** digits if dense else 0, dtype=np.int64)
-            padded = 0  # weighted products of the zero rows packing adds
-            found = []
-            for rows, cols, weight in tiles:
-                block = left[rows]
-                if digits > 1:
-                    block, pad = _pack(block, digits, base)
-                    padded += weight * pad * (cols.stop - cols.start)
-                size = len(block) * (cols.stop - cols.start)
-                prods = buf[:size].reshape(len(block), -1)
-                np.matmul(block, right[:, cols], out=prods)
-                if step != 1:
-                    prods //= step
-                np.copyto(keys[:size], prods.ravel(), casting="unsafe")
-                if dense:
-                    part += weight * np.bincount(keys[:size], minlength=len(part))
-                else:
-                    distinct, times = np.unique(keys[:size], return_counts=True)
-                    found.append((distinct, weight * times))
+        # All tiles share one pair of buffers: allocated and freed per tile,
+        # they were returned to the system and faulted in again on every tile.
+        cap = min(_BLOCK, len(ha) * len(hb))
+        buf = np.empty(cap, dtype=pdtype)
+        flat = np.empty(cap, dtype=kdtype)
+        part = np.zeros(base ** digits if dense else 0, dtype=np.int64)
+        padded = 0  # weighted products of the zero rows packing adds
+        for rows, cols, weight in _blocks(len(ha), len(hb), lo == hi):
+            block = left[rows]
+            if digits > 1:
+                block, pad = _pack(block, digits, base)
+                padded += weight * pad * (cols.stop - cols.start)
+            size = len(block) * (cols.stop - cols.start)
+            prods = buf[:size].reshape(len(block), -1)
+            np.matmul(block, right[:, cols], out=prods)
+            if step != 1:
+                prods //= step
+            np.copyto(flat[:size], prods.ravel(), casting="unsafe")
             if dense:
-                # Each digit's own histogram, summed; a zero row's digit is
-                # 0 against every column.
-                hist = sum(part.reshape(base ** j, base, -1).sum(axis=(0, 2))
-                           for j in range(digits))
-                hist[0] -= padded
-                found.append((np.flatnonzero(hist), hist[hist != 0]))
-            return _merge(found, kdtype)
-
-        tiles = _blocks(len(ha), len(hb), lo == hi)
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                parts = list(pool.map(count, [tiles[i::workers] for i in range(workers)]))
-        else:
-            parts = [count(tiles)]
+                part += weight * np.bincount(flat[:size], minlength=len(part))
+            else:
+                distinct, times = np.unique(flat[:size], return_counts=True)
+                parts.append((distinct, weight * times))
+        if dense:
+            # Each digit's own histogram, summed; a zero row's digit is 0
+            # against every column.
+            hist = sum(part.reshape(base ** j, base, -1).sum(axis=(0, 2))
+                       for j in range(digits))
+            hist[0] -= padded
+            parts.append((np.flatnonzero(hist), hist[hist != 0]))
     keys, counts = _merge(parts, kdtype)
     # x -> -x pairs the four sign classes of the half-shells:
     # H(r) = 2 (h(r) + h(-r)).
@@ -415,23 +401,20 @@ def _pair_counts(gram: GramMatrix, norm_a: int, norm_b: int,
     return result
 
 
-def rep_deg2(gram: GramMatrix, mat: HalfIntegralMatrix, workers: int = 1) -> int:
+def rep_deg2(gram: GramMatrix, mat: HalfIntegralMatrix) -> int:
     """Number of integer 2-column matrices X with X' S X = 2T, for T given as
     the half-integral (m, r, n).
 
     Column norms index the two shells and the histogram of cross products
-    answers every r for that norm pair at once.  workers >= 1 threads share
-    the product blocks.
+    answers every r for that norm pair at once.
     """
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
     if mat.is_zero:
         return 1
     if mat.n == 0:
         return rep_deg1(gram, mat.m)
     if mat.m == 0:
         return rep_deg1(gram, mat.n)
-    step, keys, counts = _pair_counts(gram, 2 * mat.m, 2 * mat.n, workers)
+    step, keys, counts = _pair_counts(gram, 2 * mat.m, 2 * mat.n)
     key, rest = divmod(mat.r, step)
     if rest or not len(keys) or not keys[0] <= key <= keys[-1]:
         return 0

@@ -113,10 +113,9 @@ class VerifyBounds:
     """The settable bounds of every suite, each a CLI flag of the same name
     (delta_max is --delta-max).  delta_max, sing_max, level_max and prime_max
     bound the coefficient suite, m_max the class sums, t_count the Hecke
-    matrices (at most len(HECKE_GRID)), and lattice_delta_max,
-    lattice_sing_max and workers the lattice oracle.  Negative values are
-    refused, and so are workers below 1 and a t_count the grid cannot
-    hold."""
+    matrices (at most len(HECKE_GRID)), and lattice_delta_max and
+    lattice_sing_max the lattice oracle.  Negative values are refused, and
+    so is a t_count the grid cannot hold."""
     delta_max: int = 50
     sing_max: int = 12
     level_max: int = 15
@@ -125,11 +124,8 @@ class VerifyBounds:
     t_count: int = 30
     lattice_delta_max: int = 30
     lattice_sing_max: int = 10
-    workers: int = 1
 
     def __post_init__(self) -> None:
-        if self.workers < 1:
-            raise ValueError("workers must be at least 1")
         for field in fields(self):
             value = getattr(self, field.name)
             if value < 0:
@@ -325,7 +321,7 @@ def verify_lattices(bounds: VerifyBounds = VerifyBounds()) -> SuiteReport:
         shells(gram, max_norm)
         for t in mats:
             formula = genus_rep_number(gram, t)
-            count = rep_deg2(gram, t, workers=bounds.workers)
+            count = rep_deg2(gram, t)
             where = f"{name} T=({t.m},{t.r},{t.n})"
             tally.check(formula == count,
                         f"formula {formula} != count {count} at {where}")

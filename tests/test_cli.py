@@ -7,8 +7,12 @@ from fractions import Fraction
 import pytest
 
 from siegelrep.cli import _build_parser, main
+from siegelrep.exactmath import FACTOR_GUARD
 from siegelrep.lattice import builtin_lattice, format_gram
 from siegelrep.verify import VerifyBounds
+
+# A level or matrix entry past FACTOR_GUARD: 2^65 + 1.
+PAST_GUARD = str(2 * FACTOR_GUARD + 1)
 
 COEFF_KEYS = ["k", "n0", "n1", "n2", "m", "r", "n", "delta", "content",
               "disc", "conductor", "value"]
@@ -66,6 +70,15 @@ class TestCoeff:
         assert run(capsys, "coeff", "-k", "4", "-p", "1,1,1", "-T", "1,2")[0] == 3
         assert run(capsys, "coeff", "-k", "4", "-p", "1,1,1")[0] == 2
 
+    def test_negative_delta_max_is_usage_error(self, capsys):
+        code = main(["coeff", "-k", "4", "-p", "1,1,1", "--delta-max", "-5"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: --delta-max must be non-negative, got -5\n"
+        code, out = run(capsys, "coeff", "-k", "4", "-p", "1,1,1", "--delta-max", "0")
+        assert code == 0 and [r["delta"] for r in json_lines(out)] == [0]
+
 
 class TestRep:
     def test_formula_mode(self, capsys):
@@ -121,6 +134,28 @@ class TestBasis:
         assert run(capsys, "basis", "-N", "12")[0] == 2
 
 
+class TestFactorGuard:
+    """A level or partition past FACTOR_GUARD is a usage error (2), a matrix
+    past it an invalid matrix (3); each prints one error line, no traceback."""
+
+    @pytest.mark.parametrize("argv, want", [
+        (["basis", "-N", PAST_GUARD], 2),
+        (["coeff", "-k", "4", "-p", f"{PAST_GUARD},1,1", "-T", "1,1,1"], 2),
+        (["coeff", "-k", "4", "-p", "1,1,1", "-T", f"{PAST_GUARD},1,1"], 3),
+        (["coeff", "-k", "4", "-p", "1,1,1", "-T", f"{PAST_GUARD},0,0"], 3),
+        (["rep", "--lattice", "S1", "-T", f"{PAST_GUARD},1,1", "--mode", "formula"], 3),
+        (["rep", "--lattice", "S1", "-T", f"{PAST_GUARD},0,0", "--mode", "formula"], 3),
+    ])
+    def test_refused(self, capsys, argv, want):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == want
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.endswith("refusing to trial-divide beyond 2**64\n")
+        assert captured.err.count("\n") == 1
+
+
 class TestVerify:
     def test_small_suite_passes(self, capsys):
         code, out = run(capsys, "verify", "identities", "--delta-max", "10",
@@ -130,13 +165,6 @@ class TestVerify:
 
     def test_unknown_suite_is_usage_error(self, capsys):
         assert run(capsys, "verify", "nonsense")[0] == 2
-
-    def test_workers_below_one_is_usage_error(self, capsys):
-        code = main(["verify", "lattices", "--workers", "0"])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.out == ""
-        assert "workers must be at least 1" in captured.err
 
     @pytest.mark.parametrize("flag", ["--delta-max", "--sing-max", "--level-max",
                                       "--prime-max", "--m-max", "--t-count",

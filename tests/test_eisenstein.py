@@ -87,6 +87,26 @@ class TestLocalFactors:
         with pytest.raises(ValueError):
             definite_local_factor(-1, LocalOrders(2, 0, 0, 1), 4)
 
+    @pytest.mark.parametrize("orders, message", [
+        ((2, -1, 0, 1), "u must be non-negative, got -1"),
+        ((2, 0, -1, 1), "v must be non-negative, got -1"),
+        ((2, 0, 0, 2), "chi must be -1, 0 or 1, got 2"),
+        ((2, 0, 0, -2), "chi must be -1, 0 or 1, got -2"),
+    ])
+    def test_bad_local_orders_rejected(self, orders, message):
+        # u < 0 made p ** (u * (k - 1)) a float.
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            LocalOrders(*orders)
+
+    @pytest.mark.parametrize("i, p, u, message", [
+        (0, 2, -2, "u must be non-negative, got -2"),
+        (1, 4, 1, "p must be prime, got 4"),
+        (2, 4, 1, "p must be prime, got 4"),
+    ])
+    def test_bad_singular_arguments_rejected(self, i, p, u, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            singular_local_factor(i, p, u, 4)
+
 
 class TestCoefficient:
     def test_constant_terms(self):

@@ -48,7 +48,7 @@ VERIFY_CASES = {
                                       "--sing-max", "4", "--m-max", "120"],
     "verify_hecke_t5.txt": ["verify", "hecke", "--t-count", "5"],
     "verify_lattices_reduced.txt": ["verify", "lattices", "--lattice-delta-max", "6",
-                                    "--lattice-sing-max", "2", "--workers", "2"],
+                                    "--lattice-sing-max", "2"],
 }
 
 

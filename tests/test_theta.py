@@ -14,7 +14,6 @@ from siegelrep.eisenstein import HalfIntegralMatrix
 from siegelrep.exactmath import clear_caches
 from siegelrep.lattice import GramMatrix, builtin_lattice, genus_rep_number
 from siegelrep.theta import rep_deg1, rep_deg2, shells
-from siegelrep.verify import VerifyBounds
 
 DIAG22 = GramMatrix.from_rows([[2, 0], [0, 2]])
 A2 = GramMatrix.from_rows([[2, 1], [1, 2]])
@@ -145,26 +144,17 @@ class TestRepDeg2:
             for mv in moves:
                 assert rep_deg2(TOY3, t.transformed(mv)) == base
 
-    def test_worker_determinism(self, monkeypatch):
-        g3 = builtin_lattice("S3")
-        for t in (HalfIntegralMatrix(1, 0, 2), HalfIntegralMatrix(2, 1, 2)):
-            assert rep_deg2(g3, t, workers=1) == rep_deg2(g3, t, workers=3)
+    def test_many_tiles_match_default_tiles(self, monkeypatch):
         # equal norms over many tiles, off-diagonal ones included
+        g3 = builtin_lattice("S3")
         t = HalfIntegralMatrix(2, 1, 2)
         clear_caches()
         want = rep_deg2(g3, t)
         monkeypatch.setattr(theta, "_BLOCK", 64)
         half = len(shells(g3, 4)[1].vectors) // 2
         assert sum(w == 2 for *_, w in theta._blocks(half, half, True)) > 1
-        for workers in (1, 3):
-            clear_caches()
-            assert rep_deg2(g3, t, workers=workers) == want
-
-    def test_rejects_workers_below_one(self):
-        with pytest.raises(ValueError, match="workers"):
-            rep_deg2(TOY3, HalfIntegralMatrix(1, 0, 1), workers=0)
-        with pytest.raises(ValueError, match="workers"):
-            VerifyBounds(workers=0)
+        clear_caches()
+        assert rep_deg2(g3, t) == want
 
     def test_vectors_are_int64(self):
         shell = shells(A2, 6)[0]
@@ -237,8 +227,8 @@ def full_product_counts(gram, norm_a, norm_b):
     return {r - bound: int(c) for r, c in enumerate(hist) if c}
 
 
-def kernel_counts(gram, norm_a, norm_b, workers=1):
-    step, keys, counts = theta._pair_counts(gram, norm_a, norm_b, workers)
+def kernel_counts(gram, norm_a, norm_b):
+    step, keys, counts = theta._pair_counts(gram, norm_a, norm_b)
     return {int(k) * step: int(c) for k, c in zip(keys, counts)}
 
 
@@ -464,8 +454,7 @@ class TestSparseHistogram:
         assert rep_deg2(gram, HalfIntegralMatrix(2 ** 60, 2, 2 ** 60 + 1)) == 0
         assert rep_deg2(gram, HalfIntegralMatrix(2 ** 60, 2 ** 61, 2 ** 60 + 1)) == 0
 
-    @pytest.mark.parametrize("workers", [1, 3])
-    def test_sparse_matches_full_products(self, workers, monkeypatch):
+    def test_sparse_matches_full_products(self, monkeypatch):
         # 2 x^2 + 2 x y + 1000 y^2: few vectors of large norm
         gram = GramMatrix.from_rows([[2, 1], [1, 1000]])
         monkeypatch.setattr(theta, "_BLOCK", 1)
@@ -474,7 +463,7 @@ class TestSparseHistogram:
         for a, b in pairs:
             halves = {sh.norm: len(sh.half) for sh in shells(gram, max(a, b))}
             assert 2 * isqrt(a * b) + 1 > halves[a] * halves[b]
-            assert kernel_counts(gram, a, b, workers) == full_product_counts(gram, a, b)
+            assert kernel_counts(gram, a, b) == full_product_counts(gram, a, b)
         clear_caches()
 
 
@@ -534,9 +523,8 @@ class TestPackedKernel:
             assert kernel_counts(gram, a, b) == full_counts(gram, a, b)
         assert packed == {digits}
 
-    @pytest.mark.parametrize("workers", [1, 3])
     @pytest.mark.parametrize("digits", [2, 3, 4])
-    def test_diagonal_tiles_small_block(self, digits, workers, packed, force, monkeypatch):
+    def test_diagonal_tiles_small_block(self, digits, packed, force, monkeypatch):
         # _BLOCK = 256 makes tiles of 4 rows: with p = 3 each leaves 2 zero
         # rows, on the diagonal tiles (weight 1) and off them (weight 2).
         gram = builtin_lattice("S3")
@@ -546,7 +534,7 @@ class TestPackedKernel:
         weights = {w for *_, w in theta._blocks(half, half, True)}
         assert weights == {1, 2}
         for a, b in PAIRS:
-            assert kernel_counts(gram, a, b, workers) == full_counts(gram, a, b)
+            assert kernel_counts(gram, a, b) == full_counts(gram, a, b)
         assert packed == {digits}
 
     @pytest.mark.parametrize("digits", [1, 2, 3, 4])

@@ -11,19 +11,13 @@ class TestVerifyBounds:
         assert asdict(VerifyBounds()) == {
             "delta_max": 50, "sing_max": 12, "level_max": 15, "prime_max": 5,
             "m_max": 500, "t_count": 30, "lattice_delta_max": 30,
-            "lattice_sing_max": 10, "workers": 1}
+            "lattice_sing_max": 10}
 
-    @pytest.mark.parametrize("name", [f.name for f in fields(VerifyBounds)
-                                      if f.name != "workers"])
+    @pytest.mark.parametrize("name", [f.name for f in fields(VerifyBounds)])
     def test_rejects_negative(self, name):
         with pytest.raises(ValueError, match=f"^{name} must be non-negative, got -1$"):
             VerifyBounds(**{name: -1})
         assert getattr(VerifyBounds(**{name: 0}), name) == 0
-
-    @pytest.mark.parametrize("workers", [0, -1])
-    def test_rejects_workers_below_one(self, workers):
-        with pytest.raises(ValueError, match="workers must be at least 1"):
-            VerifyBounds(workers=workers)
 
     def test_t_count_up_to_the_hecke_grid(self):
         assert len(verify.HECKE_GRID) == 55
