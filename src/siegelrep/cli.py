@@ -228,14 +228,8 @@ def _build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="run an identity suite")
     verify.add_argument("suite", choices=SUITE_NAMES)
     # One flag per VerifyBounds field, defaults included.
-    verify.add_argument("--delta-max", type=int)
-    verify.add_argument("--sing-max", type=int)
-    verify.add_argument("--level-max", type=int)
-    verify.add_argument("--prime-max", type=int)
-    verify.add_argument("--m-max", type=int)
-    verify.add_argument("--t-count", type=int)
-    verify.add_argument("--lattice-delta-max", type=int)
-    verify.add_argument("--lattice-sing-max", type=int)
+    for field in fields(VerifyBounds):
+        verify.add_argument("--" + field.name.replace("_", "-"), type=int)
     verify.set_defaults(func=_cmd_verify, **asdict(VerifyBounds()))
 
     return parser

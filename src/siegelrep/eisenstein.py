@@ -322,6 +322,13 @@ def _require_prime_divides(spec: EisensteinSpec, p: int, should_divide: bool) ->
         raise ValueError(f"p {verb} divide the level")
 
 
+def _degree_p_images(mat: HalfIntegralMatrix, p: int) -> list[HalfIntegralMatrix]:
+    """mat under the p + 1 column transforms of determinant p:
+    ((1, 0), (alpha, p)) for 0 <= alpha < p, then ((p, 0), (0, 1))."""
+    moves = [((1, 0), (alpha, p)) for alpha in range(p)] + [((p, 0), (0, 1))]
+    return [mat.transformed(move) for move in moves]
+
+
 def hecke_tp(spec: EisensteinSpec, p: int, mat: HalfIntegralMatrix) -> Fraction:
     """Coefficient at mat of the series after the Hecke operator at p coprime
     to the level, assembled from coefficient values.
@@ -332,13 +339,10 @@ def hecke_tp(spec: EisensteinSpec, p: int, mat: HalfIntegralMatrix) -> Fraction:
     k = spec.k
     total = fourier_coefficient(spec, mat.scaled(p))
     mid = Fraction(0)
-    for alpha in range(p):
-        w = mat.transformed(((1, 0), (alpha, p))).divided_by(p)
+    for image in _degree_p_images(mat, p):
+        w = image.divided_by(p)
         if w is not None:
             mid += fourier_coefficient(spec, w)
-    w = mat.transformed(((p, 0), (0, 1))).divided_by(p)
-    if w is not None:
-        mid += fourier_coefficient(spec, w)
     total += p ** (k - 2) * mid
     down = mat.divided_by(p)
     if down is not None:
@@ -356,11 +360,7 @@ def hecke_u1p2(spec: EisensteinSpec, p: int, mat: HalfIntegralMatrix) -> Fractio
     """Coefficient action of U_1(p^2) for p dividing the level: the p + 1
     term sum over the degree p column transforms."""
     _require_prime_divides(spec, p, True)
-    total = Fraction(0)
-    for alpha in range(p):
-        total += fourier_coefficient(spec, mat.transformed(((1, 0), (alpha, p))))
-    total += fourier_coefficient(spec, mat.transformed(((p, 0), (0, 1))))
-    return total
+    return sum((fourier_coefficient(spec, w) for w in _degree_p_images(mat, p)), Fraction(0))
 
 
 def reduced_representatives(delta_max: int, singular_content_max: int = 0,

@@ -45,8 +45,15 @@ __all__ = [
 # outright instead of hanging.
 FACTOR_GUARD = 1 << 64
 
+# factorize trial-divides by p <= _TRIAL_LIMIT only.  A cofactor left below
+# _TRIAL_LIMIT**2 is then prime; a larger one is tested with Miller-Rabin
+# on the first 12 primes as bases, which is exact below 3.18 * 10^23
+# (Sorenson & Webster, Math. Comp. 86, 2017), far beyond FACTOR_GUARD.
+_TRIAL_LIMIT = 1 << 20
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
 # The no-argument callables clear_caches() runs: cache_clear of every memo
-# table, plus the clearing of theta's shell and histogram stores.
+# table, plus the clearing of theta's shell store.
 CLEARERS: list = []
 
 
@@ -134,9 +141,30 @@ def kronecker_symbol(a: int, m: int) -> int:
     return sign if m == 1 else 0
 
 
+def _is_strong_probable_prime(n: int) -> bool:
+    """Miller-Rabin for odd n > 37 with _MILLER_RABIN_BASES."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MILLER_RABIN_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 @memo
 def factorize(n: int) -> Factorization:
-    """Trial-division factorization; inputs above FACTOR_GUARD are refused."""
+    """Trial-division factorization.  Inputs above FACTOR_GUARD are refused,
+    and so are those with two prime factors above _TRIAL_LIMIT (counted
+    with multiplicity)."""
     if n < 1:
         raise ValueError("factorize needs n >= 1")
     if n > FACTOR_GUARD:
@@ -144,7 +172,7 @@ def factorize(n: int) -> Factorization:
     pairs = []
     rest = n
     p = 2
-    while p * p <= rest:
+    while p * p <= rest and p <= _TRIAL_LIMIT:
         if rest % p == 0:
             e = 0
             while rest % p == 0:
@@ -152,6 +180,8 @@ def factorize(n: int) -> Factorization:
                 e += 1
             pairs.append((p, e))
         p += 1 if p == 2 else 2
+    if rest >= _TRIAL_LIMIT ** 2 and not _is_strong_probable_prime(rest):
+        raise OverflowError(f"refusing to factor {n}: no prime factor up to 2**20")
     if rest > 1:
         pairs.append((rest, 1))
     return Factorization(tuple(pairs))

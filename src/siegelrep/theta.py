@@ -30,20 +30,23 @@ p products.  p is the largest with K^p <= 2^16 whose packed sums stay below
 height is not a multiple of p is padded with zero rows; their products,
 all of key 0, are subtracted again.
 
-Shells and pair histograms are cached per Gram matrix behind a lock, are
-read-only once built, and are emptied by exactmath.clear_caches().
+Shells are cached per Gram matrix behind a lock and pair histograms in an
+exactmath.memo table of {r: count} mappings; both are read-only once built
+and are emptied by exactmath.clear_caches().
 """
 
 from __future__ import annotations
 
 import threading
+from collections.abc import Mapping
 from dataclasses import dataclass
 from math import gcd, isqrt, lcm
+from types import MappingProxyType
 
 import numpy as np
 
 from .eisenstein import HalfIntegralMatrix
-from .exactmath import CLEARERS
+from .exactmath import CLEARERS, memo
 from .lattice import GramMatrix
 
 __all__ = ["VectorShell", "shells", "rep_deg1", "rep_deg2"]
@@ -79,21 +82,17 @@ class VectorShell:
         return full
 
 
-# rows -> (max_norm, {norm: half-shell}), and (rows, norm, norm) ->
-# (step, keys, counts)
+# rows -> (max_norm, {norm: half-shell})
 _stores: dict[tuple, tuple[int, dict[int, np.ndarray]]] = {}
-_hists: dict[tuple, tuple[int, np.ndarray, np.ndarray]] = {}
 _lock = threading.Lock()
 
 
-def _clearer(table: dict):
-    def clear() -> None:
-        with _lock:
-            table.clear()
-    return clear
+def _clear_stores() -> None:
+    with _lock:
+        _stores.clear()
 
 
-CLEARERS.extend((_clearer(_stores), _clearer(_hists)))
+CLEARERS.append(_clear_stores)
 
 
 def _exact_dtype(bound: int, floats: bool = False):
@@ -306,99 +305,85 @@ def _pack(block: np.ndarray, digits: int, base: int) -> tuple[np.ndarray, int]:
     return packed, groups * digits - len(block)
 
 
-def _merge(parts: list[tuple[np.ndarray, np.ndarray]], dtype) -> tuple[np.ndarray, np.ndarray]:
-    """The exact sum of histograms given as (keys, counts): the sorted
-    distinct keys, of the given dtype, and their int64 counts."""
-    keys, where = np.unique(np.concatenate([np.empty(0, dtype), *(k for k, _ in parts)]),
-                            return_inverse=True)
-    counts = np.zeros(len(keys), dtype=np.int64)
-    np.add.at(counts, where, np.concatenate([np.empty(0, np.int64), *(c for _, c in parts)]))
-    return keys, counts
-
-
-def _pair_counts(gram: GramMatrix, norm_a: int,
-                 norm_b: int) -> tuple[int, np.ndarray, np.ndarray]:
-    """(step, keys, counts): the number of pairs (x, y) of norms
-    (norm_a, norm_b) with x' S y = r is counts[i] for r = keys[i] * step and 0
-    for an r not listed.  keys are sorted; every such r is a multiple of step,
-    the gcd of the entries of S."""
-    lo, hi = (norm_a, norm_b) if norm_a <= norm_b else (norm_b, norm_a)
-    key = (gram.rows, lo, hi)
-    with _lock:
-        cached = _hists.get(key)
-    if cached is not None:
-        return cached
+@memo
+def _pair_histogram(gram: GramMatrix, lo: int, hi: int) -> Mapping[int, int]:
+    """{r: number of pairs (x, y) of norms (lo, hi) with x' S y = r}, lo <=
+    hi, as a read-only mapping of the r that occur; every such r is a
+    multiple of the gcd of the entries of S.  Empty if either shell is."""
     by_norm = _ensure(gram, hi)
     ha = by_norm.get(lo)
     hb = by_norm.get(hi)
+    if ha is None or hb is None:
+        return MappingProxyType({})
     step = gcd(*(v for row in gram.rows for v in row))
     # Cauchy-Schwarz: |x' S y| <= sqrt(lo * hi).
     bound = isqrt(lo * hi) // step
     kdtype = np.intp if 2 * bound < 2 ** 63 else object
-    parts = []
-    if ha is not None and hb is not None:
-        # Rows x S with a last column bound * step, against columns y with a
-        # last entry 1, give x' S y + bound * step: a key in [0, 2 bound].
-        smat = np.array(gram.rows, dtype=object)
-        entry_sum = int(np.abs(smat).sum())
-        shift = bound * step
-        sdtype = _exact_dtype(_absmax(ha) * entry_sum + shift)
-        left = ha.astype(sdtype) @ smat.astype(sdtype)
-        left = np.column_stack((left, np.full(len(ha), shift, dtype=sdtype)))
-        row_sum = int(np.abs(left).sum(axis=1).max())
-        pdtype = _exact_dtype(row_sum * _absmax(hb), floats=True)
-        left = left.astype(pdtype)
-        right = np.vstack((hb.T, np.ones(len(hb), dtype=np.int64))).astype(pdtype)
-        # Keys are counted densely, unless their range is wider than the
-        # products; then each tile's distinct keys are counted.
-        base = 2 * bound + 1
-        dense = base <= len(ha) * len(hb)
-        # Dense float64 products carry `digits` keys each, as base-`base`
-        # digits (see the module docstring).
-        digits = (_pack_width(base, row_sum * _absmax(hb))
-                  if dense and pdtype is np.float64 else 1)
+    # Rows x S with a last column bound * step, against columns y with a
+    # last entry 1, give x' S y + bound * step: a key in [0, 2 bound].
+    smat = np.array(gram.rows, dtype=object)
+    entry_sum = int(np.abs(smat).sum())
+    shift = bound * step
+    sdtype = _exact_dtype(_absmax(ha) * entry_sum + shift)
+    left = ha.astype(sdtype) @ smat.astype(sdtype)
+    left = np.column_stack((left, np.full(len(ha), shift, dtype=sdtype)))
+    row_sum = int(np.abs(left).sum(axis=1).max())
+    pdtype = _exact_dtype(row_sum * _absmax(hb), floats=True)
+    left = left.astype(pdtype)
+    right = np.vstack((hb.T, np.ones(len(hb), dtype=np.int64))).astype(pdtype)
+    # Keys are counted densely, unless their range is wider than the
+    # products; then each tile's distinct keys are counted.
+    base = 2 * bound + 1
+    dense = base <= len(ha) * len(hb)
+    # Dense float64 products carry `digits` keys each, as base-`base`
+    # digits (see the module docstring).
+    digits = (_pack_width(base, row_sum * _absmax(hb))
+              if dense and pdtype is np.float64 else 1)
 
-        # All tiles share one pair of buffers: allocated and freed per tile,
-        # they were returned to the system and faulted in again on every tile.
-        cap = min(_BLOCK, len(ha) * len(hb))
-        buf = np.empty(cap, dtype=pdtype)
-        flat = np.empty(cap, dtype=kdtype)
-        part = np.zeros(base ** digits if dense else 0, dtype=np.int64)
-        padded = 0  # weighted products of the zero rows packing adds
-        for rows, cols, weight in _blocks(len(ha), len(hb), lo == hi):
-            block = left[rows]
-            if digits > 1:
-                block, pad = _pack(block, digits, base)
-                padded += weight * pad * (cols.stop - cols.start)
-            size = len(block) * (cols.stop - cols.start)
-            prods = buf[:size].reshape(len(block), -1)
-            np.matmul(block, right[:, cols], out=prods)
-            if step != 1:
-                prods //= step
-            np.copyto(flat[:size], prods.ravel(), casting="unsafe")
-            if dense:
-                part += weight * np.bincount(flat[:size], minlength=len(part))
-            else:
-                distinct, times = np.unique(flat[:size], return_counts=True)
-                parts.append((distinct, weight * times))
+    # All tiles share one pair of buffers: allocated and freed per tile,
+    # they were returned to the system and faulted in again on every tile.
+    cap = min(_BLOCK, len(ha) * len(hb))
+    buf = np.empty(cap, dtype=pdtype)
+    flat = np.empty(cap, dtype=kdtype)
+    part = np.zeros(base ** digits if dense else 0, dtype=np.int64)
+    parts = []  # (distinct keys, weighted counts) of each sparse tile
+    padded = 0  # weighted products of the zero rows packing adds
+    for rows, cols, weight in _blocks(len(ha), len(hb), lo == hi):
+        block = left[rows]
+        if digits > 1:
+            block, pad = _pack(block, digits, base)
+            padded += weight * pad * (cols.stop - cols.start)
+        size = len(block) * (cols.stop - cols.start)
+        prods = buf[:size].reshape(len(block), -1)
+        np.matmul(block, right[:, cols], out=prods)
+        if step != 1:
+            prods //= step
+        np.copyto(flat[:size], prods.ravel(), casting="unsafe")
         if dense:
-            # Each digit's own histogram, summed; a zero row's digit is 0
-            # against every column.
-            hist = sum(part.reshape(base ** j, base, -1).sum(axis=(0, 2))
-                       for j in range(digits))
-            hist[0] -= padded
-            parts.append((np.flatnonzero(hist), hist[hist != 0]))
-    keys, counts = _merge(parts, kdtype)
+            part += weight * np.bincount(flat[:size], minlength=len(part))
+        else:
+            distinct, times = np.unique(flat[:size], return_counts=True)
+            parts.append((distinct, weight * times))
+    if dense:
+        # Each digit's own histogram, summed; a zero row's digit is 0
+        # against every column.
+        hist = sum(part.reshape(base ** j, base, -1).sum(axis=(0, 2))
+                   for j in range(digits))
+        hist[0] -= padded
+        keys = np.flatnonzero(hist)
+        counts = hist[keys]
+    else:
+        keys, where = np.unique(np.concatenate([k for k, _ in parts]), return_inverse=True)
+        counts = np.zeros(len(keys), dtype=np.int64)
+        np.add.at(counts, where, np.concatenate([c for _, c in parts]))
     # x -> -x pairs the four sign classes of the half-shells:
     # H(r) = 2 (h(r) + h(-r)).
-    keys = keys - bound
-    keys, counts = _merge([(keys, counts), (-keys, counts)], kdtype)
-    counts *= 2
-    keys.flags.writeable = counts.flags.writeable = False
-    result = (step, keys, counts)
-    with _lock:
-        _hists[key] = result
-    return result
+    out: dict[int, int] = {}
+    for key, count in zip(keys.tolist(), counts.tolist()):
+        r = (key - bound) * step
+        out[r] = out.get(r, 0) + 2 * count
+        out[-r] = out.get(-r, 0) + 2 * count
+    return MappingProxyType(out)
 
 
 def rep_deg2(gram: GramMatrix, mat: HalfIntegralMatrix) -> int:
@@ -414,9 +399,4 @@ def rep_deg2(gram: GramMatrix, mat: HalfIntegralMatrix) -> int:
         return rep_deg1(gram, mat.m)
     if mat.m == 0:
         return rep_deg1(gram, mat.n)
-    step, keys, counts = _pair_counts(gram, 2 * mat.m, 2 * mat.n)
-    key, rest = divmod(mat.r, step)
-    if rest or not len(keys) or not keys[0] <= key <= keys[-1]:
-        return 0
-    at = np.searchsorted(keys, key)
-    return int(counts[at]) if keys[at] == key else 0
+    return _pair_histogram(gram, *sorted((2 * mat.m, 2 * mat.n))).get(mat.r, 0)

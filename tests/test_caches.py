@@ -1,6 +1,6 @@
 """The one cache policy: every cached table is registered in
-exactmath.CLEARERS (through exactmath.memo, or directly for theta's two
-stores), clear_caches() empties all of them, and values computed after
+exactmath.CLEARERS (through exactmath.memo, or directly for theta's shell
+store), clear_caches() empties all of them, and values computed after
 clearing equal the values computed from warm caches."""
 
 import importlib
@@ -51,9 +51,9 @@ def sample_values():
 
 def test_every_cache_is_registered():
     tables = memo_tables()
-    assert len(tables) == 11
+    assert len(tables) == 12
     assert all(table.cache_clear in CLEARERS for table in tables)
-    # the 11 memo tables plus theta's shell and histogram stores
+    # the 12 memo tables plus theta's shell store
     assert len(CLEARERS) == 13
 
 
@@ -68,10 +68,10 @@ def test_clear_caches_empties_every_table():
     cohen_h_level(1, 4, 3)
     tables = memo_tables()
     assert all(table.cache_info().currsize > 0 for table in tables)
-    assert theta._stores and theta._hists
+    assert theta._stores
     clear_caches()
     assert all(table.cache_info().currsize == 0 for table in tables)
-    assert not theta._stores and not theta._hists
+    assert not theta._stores
 
 
 def test_cold_equals_warm():

@@ -13,6 +13,9 @@ from siegelrep.verify import VerifyBounds
 
 # A level or matrix entry past FACTOR_GUARD: 2^65 + 1.
 PAST_GUARD = str(2 * FACTOR_GUARD + 1)
+# The largest prime below 2^64, and a product of two primes above 2^20.
+LARGE_PRIME = str(18446744073709551557)
+SEMIPRIME = str(4294967291 * 4294967279)
 
 COEFF_KEYS = ["k", "n0", "n1", "n2", "m", "r", "n", "delta", "content",
               "disc", "conductor", "value"]
@@ -135,8 +138,9 @@ class TestBasis:
 
 
 class TestFactorGuard:
-    """A level or partition past FACTOR_GUARD is a usage error (2), a matrix
-    past it an invalid matrix (3); each prints one error line, no traceback."""
+    """A level or partition past FACTOR_GUARD, or with two prime factors
+    above 2^20, is a usage error (2), such a matrix an invalid matrix (3);
+    each prints one error line, no traceback."""
 
     @pytest.mark.parametrize("argv, want", [
         (["basis", "-N", PAST_GUARD], 2),
@@ -154,6 +158,26 @@ class TestFactorGuard:
         assert captured.err.startswith("error: ")
         assert captured.err.endswith("refusing to trial-divide beyond 2**64\n")
         assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv, want", [
+        (["basis", "-N", SEMIPRIME], 2),
+        (["coeff", "-k", "4", "-p", "1,1,1", "-T", f"{SEMIPRIME},0,0"], 3),
+    ])
+    def test_semiprime_refused(self, capsys, argv, want):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == want
+        assert captured.out == ""
+        assert captured.err.endswith("no prime factor up to 2**20\n")
+
+    def test_prime_below_guard(self, capsys):
+        # trial division up to its square root would take ~2^31 divisions
+        code, out = run(capsys, "basis", "-N", LARGE_PRIME)
+        assert code == 0
+        assert len(json_lines(out)) == 3
+        code, out = run(capsys, "coeff", "-k", "4", "-p", "1,1,1", "-T", f"{LARGE_PRIME},0,0")
+        assert code == 0
+        assert json_lines(out)[0]["content"] == int(LARGE_PRIME)
 
 
 class TestVerify:

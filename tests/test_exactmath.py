@@ -183,12 +183,17 @@ class TestFactorization:
         assert xm.valuation(2, 48) == 4
         assert xm.divisors(12) == (1, 2, 3, 4, 6, 12)
         assert xm.is_squarefree(30) and not xm.is_squarefree(18)
+        # the largest prime below 2^64, without trial division to its root
+        assert xm.factorize(18446744073709551557).pairs == ((18446744073709551557, 1),)
 
     def test_invalid_and_guard_are_distinct(self):
         with pytest.raises(ValueError):
             xm.factorize(0)
         with pytest.raises(OverflowError):
             xm.factorize(xm.FACTOR_GUARD + 1)
+        # two prime factors above 2^20: refused, not trial-divided
+        with pytest.raises(OverflowError, match="no prime factor up to 2"):
+            xm.factorize(4294967291 * 4294967279)
 
     @given(st.integers(min_value=1, max_value=10**6))
     @settings(max_examples=200, deadline=None)

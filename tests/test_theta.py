@@ -92,6 +92,10 @@ class TestShells:
         with pytest.raises(ValueError):
             first.vectors[:] = 0
         assert rep_deg2(g3, HalfIntegralMatrix(1, 0, 1)) == 6944
+        # so is the cached pair histogram of norms (2, 2)
+        with pytest.raises(TypeError):
+            theta._pair_histogram(g3, 2, 2)[0] = 0
+        assert rep_deg2(g3, HalfIntegralMatrix(1, 0, 1)) == 6944
 
 
 class TestRepDeg1:
@@ -117,6 +121,12 @@ class TestRepDeg2:
         assert rep_deg2(g1, HalfIntegralMatrix(0, 0, 0)) == 1
         assert rep_deg2(g1, HalfIntegralMatrix(1, 0, 0)) == 240
         assert rep_deg2(g1, HalfIntegralMatrix(1, 1, 1)) == 13440
+        # 2 S3: every cross product is even, so an odd r has no pairs
+        g3 = builtin_lattice("S3")
+        doubled = GramMatrix.from_rows([[2 * v for v in row] for row in g3.rows])
+        assert rep_deg2(doubled, HalfIntegralMatrix(2, 1, 2)) == 0
+        assert rep_deg2(doubled, HalfIntegralMatrix(2, 2, 2)) == 2688
+        assert rep_deg2(g3, HalfIntegralMatrix(1, 1, 1)) == 2688
 
     def test_rank_one_both_orientations(self):
         assert rep_deg2(DIAG22, HalfIntegralMatrix(2, 0, 0)) == rep_deg1(DIAG22, 2)
@@ -228,8 +238,7 @@ def full_product_counts(gram, norm_a, norm_b):
 
 
 def kernel_counts(gram, norm_a, norm_b):
-    step, keys, counts = theta._pair_counts(gram, norm_a, norm_b)
-    return {int(k) * step: int(c) for k, c in zip(keys, counts)}
+    return dict(theta._pair_histogram(gram, *sorted((norm_a, norm_b))))
 
 
 def shell_sets(by_norm):
