@@ -5,7 +5,7 @@ Records go to stdout as JSON lines (default) or CSV.  Rationals are always
 serialized as "numerator/denominator" strings, never floats, so every value
 round-trips exactly.  Exit codes: 0 success, 1 verification or oracle
 failure, 2 usage error (including an invalid series spec or lattice), 3
-invalid matrix argument.
+invalid matrix argument, 141 stdout closed before all output was written.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from dataclasses import asdict, fields
 from fractions import Fraction
@@ -241,8 +242,14 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    return args.func(args)
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+    try:
+        code = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early.  Point its fd at devnull, so that
+        # the flush at interpreter exit cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141  # 128 + SIGPIPE, as a shell reports a reader that quit
+    return code

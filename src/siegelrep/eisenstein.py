@@ -6,6 +6,8 @@ with constant term 1.  Coefficients are exact rationals indexed by positive
 semidefinite half-integral 2x2 matrices.  The closed formula multiplies a
 level 1 style divisor sum (of class-number values in the definite case, of
 powers in the rank 1 case) by one local factor per prime dividing the level.
+Only the slot of each prime depends on the partition, so one term table per
+(level, k, delta, content) is shared by every partition of the level.
 
 raise_level and the Hecke actions give independent evaluation routes; the
 verification suites compare them against the closed formula, which is the
@@ -229,11 +231,7 @@ def fourier_coefficient(spec: EisensteinSpec, mat: HalfIntegralMatrix) -> Fracti
     part = spec.partition
     if mat.is_zero:
         return Fraction(1) if part.n1 == 1 and part.n2 == 1 else Fraction(0)
-    delta = mat.delta
-    if delta == 0:
-        local, num, den = _singular_terms(part.level, spec.k, mat.content)
-    else:
-        local, num, den = _definite_terms(part.level, spec.k, delta, mat.content)
+    local, num, den = _level_terms(part.level, spec.k, mat.delta, mat.content)
     # Only the slot of each prime depends on the partition.  Factors are
     # multiplied as numerator and denominator ints; the one Fraction built
     # is the value itself.
@@ -245,28 +243,24 @@ def fourier_coefficient(spec: EisensteinSpec, mat: HalfIntegralMatrix) -> Fracti
 
 
 @memo
-def _singular_terms(level: int, k: int, content: int) -> tuple[tuple, int, int]:
-    """Rank 1 coefficient data shared by every partition of the level: each
-    prime of the level with its local factor in slots 0, 1, 2, and
-    2 / zeta(1 - k) times the power-divisor sum as (numerator, denominator)."""
-    local = tuple((p, tuple(singular_local_factor(i, p, valuation(p, content), k)
-                            for i in range(3)))
-                  for p in prime_divisors(level))
-    power_sum = sum(d ** (k - 1) for d in divisors(content) if math.gcd(d, level) == 1)
-    zeta = zeta_negative(k)
-    return local, 2 * power_sum * zeta.denominator, zeta.numerator
+def _level_terms(level: int, k: int, delta: int, content: int) -> tuple[tuple, int, int]:
+    """Coefficient data shared by every partition of the level: each prime of
+    the level with its local factor in slots 0, 1, 2, and the level 1 style
+    factor as (numerator, denominator).
 
-
-@memo
-def _definite_terms(level: int, k: int, delta: int, content: int) -> tuple[tuple, int, int]:
-    """Definite coefficient data shared by every partition of the level: each
-    prime of the level with its local factor in slots 0, 1, 2, and
-    2 L(2 - k, chi_D) / (zeta(1 - k) zeta(3 - 2k)) times the integer
-    class-number divisor sum as (numerator, denominator).
-
-    Every -delta / d^2 in the divisor sum has the same fundamental
-    discriminant D, so the L-value factors out of the class-number sums.
+    For rank 1 (delta = 0) that factor is 2 / zeta(1 - k) times the power
+    sum over divisors d of the content coprime to the level.  For definite
+    matrices it is 2 L(2 - k, chi_D) / (zeta(1 - k) zeta(3 - 2k)) times the
+    integer class-number divisor sum over the same d: every -delta / d^2 has
+    the same fundamental discriminant D, so the L-value factors out.
     """
+    coprime = [d for d in divisors(content) if math.gcd(d, level) == 1]
+    if delta == 0:
+        local = tuple((p, tuple(singular_local_factor(i, p, valuation(p, content), k)
+                                for i in range(3)))
+                      for p in prime_divisors(level))
+        zeta = zeta_negative(k)
+        return local, 2 * sum(d ** (k - 1) for d in coprime) * zeta.denominator, zeta.numerator
     dec = decompose_discriminant(delta)
     disc, conductor = dec.disc, dec.conductor
     local = []
@@ -275,7 +269,7 @@ def _definite_terms(level: int, k: int, delta: int, content: int) -> tuple[tuple
                              kronecker_symbol(disc, p))
         local.append((p, tuple(definite_local_factor(i, orders, k) for i in range(3))))
     class_sum = sum(d ** (k - 1) * class_divisor_sum(level, k, disc, conductor // d)
-                    for d in divisors(content) if math.gcd(d, level) == 1)
+                    for d in coprime)
     const = 2 * l_negative(k - 1, disc) / (zeta_negative(k) * zeta_negative(2 * k - 2))
     return tuple(local), class_sum * const.numerator, const.denominator
 

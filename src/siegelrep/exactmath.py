@@ -223,7 +223,15 @@ def is_squarefree(n: int) -> bool:
 
 
 def is_prime(n: int) -> bool:
-    return n >= 2 and factorize(n).pairs == ((n, 1),)
+    """Exact up to FACTOR_GUARD, which it refuses to pass as factorize does."""
+    if n > FACTOR_GUARD:
+        raise OverflowError("refusing to test primality beyond 2**64")
+    if n < 2:
+        return False
+    for p in _MILLER_RABIN_BASES:
+        if n % p == 0:
+            return n == p
+    return _is_strong_probable_prime(n)
 
 
 @memo

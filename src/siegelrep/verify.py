@@ -142,13 +142,11 @@ def _squarefree_up_to(limit: int) -> list[int]:
     return [n for n in range(1, limit + 1) if is_squarefree(n)]
 
 
-def verify_coefficient_identities(bounds: VerifyBounds = VerifyBounds()) -> SuiteReport:
-    """Level raising against direct evaluation, plus the three-term
-    decomposition of each series into the next level's basis."""
-    tally = _Tally("identities/coefficients")
-    mats = reduced_representatives(bounds.delta_max, bounds.sing_max, include_zero=True)
-    primes = _primes_up_to(bounds.prime_max)
-    for level in _squarefree_up_to(bounds.level_max):
+def _raised_series(levels, primes, weights):
+    """For each level, prime p not dividing it, partition and weight, yield
+    (k, p, spec, (s0, s1, s2)): the series and the three level Np series
+    whose partitions put p in slot 0, 1 and 2."""
+    for level in levels:
         for p in primes:
             if level % p == 0:
                 continue
@@ -157,20 +155,29 @@ def verify_coefficient_identities(bounds: VerifyBounds = VerifyBounds()) -> Suit
                 raised = (LevelPartition(p * n0, n1, n2),
                           LevelPartition(n0, p * n1, n2),
                           LevelPartition(n0, n1, p * n2))
-                for k in COEFFICIENT_WEIGHTS:
-                    spec = EisensteinSpec(k, part)
-                    up_specs = tuple(EisensteinSpec(k, q) for q in raised)
-                    for t in mats:
-                        base = fourier_coefficient(spec, t)
-                        lifted = raise_level(base,
-                                             fourier_coefficient(spec, t.scaled(p)),
-                                             fourier_coefficient(spec, t.scaled(p * p)),
-                                             p, k)
-                        direct = tuple(fourier_coefficient(s, t) for s in up_specs)
-                        where = f"k={k} {part.as_tuple()} p={p} T=({t.m},{t.r},{t.n})"
-                        tally.check(lifted == direct, f"level raise mismatch at {where}")
-                        tally.check(sum(direct, Fraction(0)) == base,
-                                    f"decomposition sum mismatch at {where}")
+                for k in weights:
+                    yield k, p, EisensteinSpec(k, part), tuple(EisensteinSpec(k, q) for q in raised)
+
+
+def verify_coefficient_identities(bounds: VerifyBounds = VerifyBounds()) -> SuiteReport:
+    """Level raising against direct evaluation, plus the three-term
+    decomposition of each series into the next level's basis."""
+    tally = _Tally("identities/coefficients")
+    mats = reduced_representatives(bounds.delta_max, bounds.sing_max, include_zero=True)
+    for k, p, spec, up_specs in _raised_series(_squarefree_up_to(bounds.level_max),
+                                               _primes_up_to(bounds.prime_max),
+                                               COEFFICIENT_WEIGHTS):
+        for t in mats:
+            base = fourier_coefficient(spec, t)
+            lifted = raise_level(base,
+                                 fourier_coefficient(spec, t.scaled(p)),
+                                 fourier_coefficient(spec, t.scaled(p * p)),
+                                 p, k)
+            direct = tuple(fourier_coefficient(s, t) for s in up_specs)
+            where = f"k={k} {spec.partition.as_tuple()} p={p} T=({t.m},{t.r},{t.n})"
+            tally.check(lifted == direct, f"level raise mismatch at {where}")
+            tally.check(sum(direct, Fraction(0)) == base,
+                        f"decomposition sum mismatch at {where}")
     return tally.report()
 
 
@@ -266,44 +273,30 @@ def verify_hecke(bounds: VerifyBounds = VerifyBounds()) -> SuiteReport:
     the two bad-prime operators on the next level's basis."""
     tally = _Tally("hecke")
     mats = HECKE_GRID[:bounds.t_count]
-    for level in HECKE_LEVELS:
-        for p in HECKE_PRIMES:
-            if level % p == 0:
-                continue
-            pf = Fraction(p)
-            for k in HECKE_WEIGHTS:
-                eigen = p ** (2 * k - 3) + p ** (k - 1) + p ** (k - 2) + 1
-                for part in partitions_of_level(level):
-                    spec = EisensteinSpec(k, part)
-                    n0, n1, n2 = part.as_tuple()
-                    s0 = EisensteinSpec(k, LevelPartition(p * n0, n1, n2))
-                    s1 = EisensteinSpec(k, LevelPartition(n0, p * n1, n2))
-                    s2 = EisensteinSpec(k, LevelPartition(n0, n1, p * n2))
-                    for t in mats:
-                        where = f"k={k} {part.as_tuple()} p={p} T=({t.m},{t.r},{t.n})"
-                        tally.check(
-                            hecke_tp(spec, p, t) == eigen * fourier_coefficient(spec, t),
-                            f"eigenvalue fails at {where}")
-                        f0 = fourier_coefficient(s0, t)
-                        f1 = fourier_coefficient(s1, t)
-                        f2 = fourier_coefficient(s2, t)
-                        rows = (
-                            ("U rank0", hecke_up(s0, p, t),
-                             f0 + (1 - 1 / pf) * (f1 + f2)),
-                            ("U rank1", hecke_up(s1, p, t),
-                             p ** (k - 1) * f1 + (p ** (k - 1) - p ** (k - 3)) * f2),
-                            ("U rank2", hecke_up(s2, p, t), p ** (2 * k - 3) * f2),
-                            ("U1 rank0", hecke_u1p2(s0, p, t),
-                             (p + 1) * f0 + (p ** (k - 1) + 1) * (1 - 1 / pf) * f1
-                             + (1 - 1 / pf**2) * f2),
-                            ("U1 rank1", hecke_u1p2(s1, p, t),
-                             (p ** (2 * k - 2) + p) * f1
-                             + (p ** (k - 2) + 1) * (p - 1 / pf) * f2),
-                            ("U1 rank2", hecke_u1p2(s2, p, t),
-                             (p ** (2 * k - 2) + p ** (2 * k - 3)) * f2),
-                        )
-                        for label, got, want in rows:
-                            tally.check(got == want, f"{label} fails at {where}")
+    for k, p, spec, (s0, s1, s2) in _raised_series(HECKE_LEVELS, HECKE_PRIMES, HECKE_WEIGHTS):
+        pf = Fraction(p)
+        eigen = p ** (2 * k - 3) + p ** (k - 1) + p ** (k - 2) + 1
+        for t in mats:
+            where = f"k={k} {spec.partition.as_tuple()} p={p} T=({t.m},{t.r},{t.n})"
+            tally.check(hecke_tp(spec, p, t) == eigen * fourier_coefficient(spec, t),
+                        f"eigenvalue fails at {where}")
+            f0 = fourier_coefficient(s0, t)
+            f1 = fourier_coefficient(s1, t)
+            f2 = fourier_coefficient(s2, t)
+            rows = (
+                ("U rank0", hecke_up(s0, p, t), f0 + (1 - 1 / pf) * (f1 + f2)),
+                ("U rank1", hecke_up(s1, p, t),
+                 p ** (k - 1) * f1 + (p ** (k - 1) - p ** (k - 3)) * f2),
+                ("U rank2", hecke_up(s2, p, t), p ** (2 * k - 3) * f2),
+                ("U1 rank0", hecke_u1p2(s0, p, t),
+                 (p + 1) * f0 + (p ** (k - 1) + 1) * (1 - 1 / pf) * f1
+                 + (1 - 1 / pf**2) * f2),
+                ("U1 rank1", hecke_u1p2(s1, p, t),
+                 (p ** (2 * k - 2) + p) * f1 + (p ** (k - 2) + 1) * (p - 1 / pf) * f2),
+                ("U1 rank2", hecke_u1p2(s2, p, t), (p ** (2 * k - 2) + p ** (2 * k - 3)) * f2),
+            )
+            for label, got, want in rows:
+                tally.check(got == want, f"{label} fails at {where}")
     return tally.report()
 
 

@@ -1,11 +1,16 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from dataclasses import asdict
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import siegelrep
 from siegelrep.cli import _build_parser, main
 from siegelrep.exactmath import FACTOR_GUARD
 from siegelrep.lattice import builtin_lattice, format_gram
@@ -81,6 +86,21 @@ class TestCoeff:
         assert captured.err == "error: --delta-max must be non-negative, got -5\n"
         code, out = run(capsys, "coeff", "-k", "4", "-p", "1,1,1", "--delta-max", "0")
         assert code == 0 and [r["delta"] for r in json_lines(out)] == [0]
+
+    def test_closed_stdout_ends_quietly(self):
+        # ~600 KB of records, far past a pipe buffer: the reader stops after
+        # one line, so a later write meets a closed pipe.
+        env = dict(os.environ, PYTHONPATH=str(Path(siegelrep.__file__).resolve().parents[1]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "siegelrep", "coeff", "-k", "4", "-p", "1,1,1",
+             "--delta-max", "1000"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        assert json.loads(proc.stdout.readline())["value"] == "1/1"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 141
+        assert err == b""
 
 
 class TestRep:

@@ -195,6 +195,21 @@ class TestFactorization:
         with pytest.raises(OverflowError, match="no prime factor up to 2"):
             xm.factorize(4294967291 * 4294967279)
 
+    def test_is_prime_without_factoring(self):
+        assert not xm.is_prime(4294967291 * 4294967279)
+        assert xm.is_prime(18446744073709551557)
+        # a strong pseudoprime to bases 2, 3, 5 and 7
+        assert not xm.is_prime(3215031751)
+        with pytest.raises(OverflowError):
+            xm.is_prime(xm.FACTOR_GUARD + 1)
+
+    def test_is_prime_agrees_with_factorize(self):
+        assert not any(xm.is_prime(n) for n in range(-3, 2))
+        # through __wrapped__, so the factorize memo does not keep 10^5 entries
+        factorize = xm.factorize.__wrapped__
+        assert all(xm.is_prime(n) == (factorize(n).pairs == ((n, 1),))
+                   for n in range(2, 10**5))
+
     @given(st.integers(min_value=1, max_value=10**6))
     @settings(max_examples=200, deadline=None)
     def test_reconstruction(self, n):

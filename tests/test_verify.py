@@ -54,3 +54,35 @@ def test_run_suites_calls_suites_through_module_globals(monkeypatch):
 def test_run_suites_rejects_unknown_name():
     with pytest.raises(ValueError, match="unknown suite"):
         run_suites("nonsense")
+
+
+# Reduced bounds for the tests that break one evaluation route on purpose.
+SMALL = VerifyBounds(delta_max=12, sing_max=3, level_max=3, prime_max=3, t_count=5)
+
+
+def test_coefficient_suite_detects_a_wrong_level_raise(monkeypatch):
+    honest = verify.verify_coefficient_identities(SMALL)
+    assert honest.ok
+    real = verify.raise_level
+
+    def swapped(*args):
+        out0, out1, out2 = real(*args)
+        return out0, out2, out1
+
+    monkeypatch.setattr(verify, "raise_level", swapped)
+    report = verify.verify_coefficient_identities(SMALL)
+    assert report.checks == honest.checks
+    assert len(report.failures) == verify._FAILURE_LIMIT
+    assert all(m.startswith("level raise mismatch at k=") for m in report.failures)
+
+
+def test_hecke_suite_detects_a_wrong_u_p(monkeypatch):
+    honest = verify.verify_hecke(SMALL)
+    assert honest.ok
+    real = verify.hecke_up
+    monkeypatch.setattr(verify, "hecke_up", lambda *args: real(*args) + 1)
+    report = verify.verify_hecke(SMALL)
+    assert report.checks == honest.checks
+    assert len(report.failures) == verify._FAILURE_LIMIT
+    assert report.failures[0].startswith("U rank0 fails at ")
+    assert all(m.startswith("U rank") for m in report.failures)
