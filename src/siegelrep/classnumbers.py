@@ -4,9 +4,10 @@ correction factors that relate one level to the next.
 cohen_h_level(N, k, M) restricts both divisor variables of the classical sum
 to integers coprime to N; level 1 recovers the plain value.  For
 -M = D f**2 it is L(2 - k, chi_D) times the integer class_divisor_sum(N, k,
-D, f), which the coefficient engine uses directly.  Multiplying the
-level Np sum by local_correction(p, D, ord_p(f), k) recovers the level N sum,
-which is the identity the verification suites exercise.
+D, f), which the coefficient engine and the class-sum checks use
+directly.  Multiplying the level Np sum by local_correction(p, D, ord_p(f),
+k) recovers the level N sum, which is the identity the verification suites
+exercise.
 """
 
 from __future__ import annotations
@@ -34,8 +35,10 @@ def class_divisor_sum(level: int, k: int, disc: int, conductor: int) -> int:
             mu(g) chi_disc(g) g^(k-2) sum_{h | conductor/g, (h, level) = 1} h^(2k-3)
 
     disc must be a fundamental discriminant; the full sum is this times
-    L(2 - k, chi_disc).  Not cached itself: both callers, cohen_h_level and
-    the coefficient engine, cache their results.
+    L(2 - k, chi_disc).  Not cached itself: cohen_h_level and the coefficient
+    engine cache their results, and the class-sum suite of verify, which
+    compares these integers directly, keeps each level's values for the
+    length of one level.
     """
     if level < 1 or not is_squarefree(level):
         raise ValueError("level must be a squarefree positive integer")

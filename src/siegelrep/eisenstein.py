@@ -11,7 +11,9 @@ Only the slot of each prime depends on the partition, so one term table per
 
 raise_level and the Hecke actions give independent evaluation routes; the
 verification suites compare them against the closed formula, which is the
-strongest internal consistency check this module has.
+strongest internal consistency check this module has.  Like
+fourier_coefficient, they combine their terms as integer numerators over one
+integer denominator and build a single Fraction per returned value.
 
 Everything is a pure function of immutable inputs; the memo tables
 (exactmath.memo) are thread-safe, so concurrent use needs no extra care.
@@ -133,8 +135,7 @@ class EisensteinSpec:
     partition: LevelPartition
 
     def __post_init__(self) -> None:
-        if self.k < 4 or self.k % 2:
-            raise ValueError("weight must be even and at least 4")
+        _require_weight(self.k)
 
 
 @dataclass(frozen=True)
@@ -284,28 +285,42 @@ def _require_order(name: str, value: int) -> None:
         raise ValueError(f"{name} must be non-negative, got {value}")
 
 
-def raise_level(a_t, a_pt, a_p2t, p: int, k: int) -> tuple[Fraction, Fraction, Fraction]:
+def _require_weight(k: int) -> None:
+    if k < 4 or k % 2:
+        raise ValueError("weight must be even and at least 4")
+
+
+def raise_level(a_t: Fraction | int, a_pt: Fraction | int, a_p2t: Fraction | int,
+                p: int, k: int) -> tuple[Fraction, Fraction, Fraction]:
     """Split a level N coefficient triple (a(T), a(pT), a(p^2 T)) into the
     coefficients at T of the three level Np basis series, in slot order.
 
-    The three outputs always sum back to a(T).  p must be prime.
+    The three outputs always sum back to a(T).  p must be prime, and k even
+    and at least 4, as for a basis series.
     """
     _require_prime(p)
-    a_t, a_pt, a_p2t = Fraction(a_t), Fraction(a_pt), Fraction(a_p2t)
-    den = (p**k - 1) * (p ** (2 * k - 2) - 1)
-    low = Fraction(p) ** (4 - k)
-    out0 = (
-        (p ** (3 * k - 2) + p ** (2 * k - 1) - p ** (2 * k - 2) + p ** (k + 1) - p**k - p + 1) * a_t
-        - (p ** (2 * k - 1) + p ** (k + 1) + p * p - p) * a_pt
-        + p * p * a_p2t
+    _require_weight(k)
+    # The inputs over one denominator d, and every combination multiplied
+    # through by q = p^(k-4), which turns the p^(4-k) terms into the plain
+    # differences of t, pt and p2t below.
+    d = math.lcm(a_t.denominator, a_pt.denominator, a_p2t.denominator)
+    t, pt, p2t = (a.numerator * (d // a.denominator) for a in (a_t, a_pt, a_p2t))
+    q = p ** (k - 4)
+    pp = p * p
+    upper = p ** (2 * k - 1) + p ** (k + 1)
+    out0 = q * (
+        (p ** (3 * k - 2) + upper - p ** (2 * k - 2) - p**k - p + 1) * t
+        - (upper + pp - p) * pt
+        + pp * p2t
     )
-    out1 = (
-        (-p ** (2 * k - 1) - p ** (k + 1) - p**3 + p) * a_t
-        + (p ** (2 * k - 1) + p ** (k + 1) + p**3 + p * p - p + low) * a_pt
-        - (p * p + low) * a_p2t
-    )
-    out2 = p**3 * a_t - (p**3 + low) * a_pt + low * a_p2t
-    return (out0 / den, out1 / den, out2 / den)
+    out1 = q * (
+        (-upper - pp * p + p) * t
+        + (upper + pp * p + pp - p) * pt
+        - pp * p2t
+    ) + pt - p2t
+    out2 = q * pp * p * (t - pt) + p2t - pt
+    den = (p**k - 1) * (p ** (2 * k - 2) - 1) * d * q
+    return (Fraction(out0, den), Fraction(out1, den), Fraction(out2, den))
 
 
 def _require_prime_divides(spec: EisensteinSpec, p: int, should_divide: bool) -> None:
@@ -331,17 +346,15 @@ def hecke_tp(spec: EisensteinSpec, p: int, mat: HalfIntegralMatrix) -> Fraction:
     """
     _require_prime_divides(spec, p, False)
     k = spec.k
-    total = fourier_coefficient(spec, mat.scaled(p))
-    mid = Fraction(0)
+    terms = [(1, fourier_coefficient(spec, mat.scaled(p)))]
     for image in _degree_p_images(mat, p):
         w = image.divided_by(p)
         if w is not None:
-            mid += fourier_coefficient(spec, w)
-    total += p ** (k - 2) * mid
+            terms.append((p ** (k - 2), fourier_coefficient(spec, w)))
     down = mat.divided_by(p)
     if down is not None:
-        total += p ** (2 * k - 3) * fourier_coefficient(spec, down)
-    return total
+        terms.append((p ** (2 * k - 3), fourier_coefficient(spec, down)))
+    return _combination(terms)
 
 
 def hecke_up(spec: EisensteinSpec, p: int, mat: HalfIntegralMatrix) -> Fraction:
@@ -354,7 +367,21 @@ def hecke_u1p2(spec: EisensteinSpec, p: int, mat: HalfIntegralMatrix) -> Fractio
     """Coefficient action of U_1(p^2) for p dividing the level: the p + 1
     term sum over the degree p column transforms."""
     _require_prime_divides(spec, p, True)
-    return sum((fourier_coefficient(spec, w) for w in _degree_p_images(mat, p)), Fraction(0))
+    return _combination((1, fourier_coefficient(spec, w)) for w in _degree_p_images(mat, p))
+
+
+def _combination(terms) -> Fraction:
+    """Sum of c * x over pairs (int c, Fraction x), accumulated as one integer
+    numerator and denominator; terms that share the denominator so far are
+    added without growing it."""
+    num, den = 0, 1
+    for c, x in terms:
+        if x.denominator == den:
+            num += c * x.numerator
+        else:
+            num = num * x.denominator + c * x.numerator * den
+            den *= x.denominator
+    return Fraction(num, den)
 
 
 def reduced_representatives(delta_max: int, singular_content_max: int = 0,

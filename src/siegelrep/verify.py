@@ -10,10 +10,11 @@ acceptance tests both run these suites.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
 
-from .classnumbers import cohen_h_level, local_correction
+from .classnumbers import class_divisor_sum, cohen_h_level, local_correction
 from .eisenstein import (
     EisensteinSpec,
     LevelPartition,
@@ -200,25 +201,36 @@ def _level_one_euler_product(k: int, m: int) -> Fraction:
 
 def verify_class_identities(bounds: VerifyBounds = VerifyBounds()) -> SuiteReport:
     """Level correction and p-squared stability of the class-number sums, and
-    the level 1 sum against its Euler-product form."""
+    the level 1 sum against its Euler-product form.
+
+    At -M = D f**2 every sum is L(2 - k, chi_D) times the integer
+    class_divisor_sum, so the first two checks compare those integers.  The
+    L-value is a common factor of both sides, and it is nonzero: chi_D is
+    odd and k - 1 is odd, so the functional equation makes it a nonzero
+    multiple of L(k - 1, chi_D).  The Euler-product check keeps the L-value,
+    through cohen_h_level.
+    """
     tally = _Tally("identities/class-sums")
-    ms = [m for m in range(1, bounds.m_max + 1) if m % 4 in (0, 3)]
+    decs = [(m, decompose_discriminant(m)) for m in range(1, bounds.m_max + 1) if m % 4 in (0, 3)]
     primes = _primes_up_to(CLASS_PRIME_MAX)
     for level in _squarefree_up_to(CLASS_LEVEL_MAX):
+        # The level N sums, shared by every prime p.
+        at_level = {(k, m): class_divisor_sum(level, k, dec.disc, dec.conductor)
+                    for k in CLASS_WEIGHTS for m, dec in decs}
         for p in primes:
             if level % p == 0:
                 continue
             for k in CLASS_WEIGHTS:
-                for m in ms:
-                    dec = decompose_discriminant(m)
-                    corr = local_correction(p, dec.disc, valuation(p, dec.conductor), k)
+                for m, dec in decs:
+                    disc, f = dec.disc, dec.conductor
+                    raised = class_divisor_sum(level * p, k, disc, f)
+                    corr = local_correction(p, disc, valuation(p, f), k)
                     here = f"N={level} p={p} k={k} M={m}"
-                    tally.check(
-                        cohen_h_level(level * p, k, m) * corr == cohen_h_level(level, k, m),
-                        f"level correction fails at {here}")
-                    tally.check(
-                        cohen_h_level(level * p, k, p * p * m) == cohen_h_level(level * p, k, m),
-                        f"p^2 stability fails at {here}")
+                    tally.check(raised * corr.numerator == at_level[k, m] * corr.denominator,
+                                f"level correction fails at {here}")
+                    # -p^2 M = D (p f)^2: the same L-value on both sides again.
+                    tally.check(class_divisor_sum(level * p, k, disc, p * f) == raised,
+                                f"p^2 stability fails at {here}")
     for k in CLASS_WEIGHTS:
         for m in range(1, max(bounds.m_max, 1000) + 1):
             if m % 4 in (1, 2):
@@ -274,29 +286,39 @@ def verify_hecke(bounds: VerifyBounds = VerifyBounds()) -> SuiteReport:
     tally = _Tally("hecke")
     mats = HECKE_GRID[:bounds.t_count]
     for k, p, spec, (s0, s1, s2) in _raised_series(HECKE_LEVELS, HECKE_PRIMES, HECKE_WEIGHTS):
-        pf = Fraction(p)
         eigen = p ** (2 * k - 3) + p ** (k - 1) + p ** (k - 2) + 1
+        pp = p * p
+        # Each row: p^2 times the image of the U(p) or U1(p^2) action, as
+        # integer coefficients of (f0, f1, f2); the factor p^2 clears the
+        # 1/p and 1/p^2 of the triangular systems
+        #   U   f0 + (1 - 1/p)(f1 + f2),  p^(k-1) f1 + (p^(k-1) - p^(k-3)) f2,
+        #       p^(2k-3) f2;
+        #   U1  (p + 1) f0 + (p^(k-1) + 1)(1 - 1/p) f1 + (1 - 1/p^2) f2,
+        #       (p^(2k-2) + p) f1 + (p^(k-2) + 1)(p - 1/p) f2,
+        #       (p^(2k-2) + p^(2k-3)) f2.
+        rows = (
+            ("U rank0", hecke_up, s0, (pp, pp - p, pp - p)),
+            ("U rank1", hecke_up, s1, (0, pp * p ** (k - 1), pp * (p ** (k - 1) - p ** (k - 3)))),
+            ("U rank2", hecke_up, s2, (0, 0, pp * p ** (2 * k - 3))),
+            ("U1 rank0", hecke_u1p2, s0, (pp * (p + 1), (p ** (k - 1) + 1) * (pp - p), pp - 1)),
+            ("U1 rank1", hecke_u1p2, s1,
+             (0, pp * (p ** (2 * k - 2) + p), (p ** (k - 2) + 1) * (pp * p - p))),
+            ("U1 rank2", hecke_u1p2, s2, (0, 0, pp * (p ** (2 * k - 2) + p ** (2 * k - 3)))),
+        )
         for t in mats:
             where = f"k={k} {spec.partition.as_tuple()} p={p} T=({t.m},{t.r},{t.n})"
-            tally.check(hecke_tp(spec, p, t) == eigen * fourier_coefficient(spec, t),
+            got, base = hecke_tp(spec, p, t), fourier_coefficient(spec, t)
+            tally.check(got.numerator * base.denominator
+                        == eigen * base.numerator * got.denominator,
                         f"eigenvalue fails at {where}")
-            f0 = fourier_coefficient(s0, t)
-            f1 = fourier_coefficient(s1, t)
-            f2 = fourier_coefficient(s2, t)
-            rows = (
-                ("U rank0", hecke_up(s0, p, t), f0 + (1 - 1 / pf) * (f1 + f2)),
-                ("U rank1", hecke_up(s1, p, t),
-                 p ** (k - 1) * f1 + (p ** (k - 1) - p ** (k - 3)) * f2),
-                ("U rank2", hecke_up(s2, p, t), p ** (2 * k - 3) * f2),
-                ("U1 rank0", hecke_u1p2(s0, p, t),
-                 (p + 1) * f0 + (p ** (k - 1) + 1) * (1 - 1 / pf) * f1
-                 + (1 - 1 / pf**2) * f2),
-                ("U1 rank1", hecke_u1p2(s1, p, t),
-                 (p ** (2 * k - 2) + p) * f1 + (p ** (k - 2) + 1) * (p - 1 / pf) * f2),
-                ("U1 rank2", hecke_u1p2(s2, p, t), (p ** (2 * k - 2) + p ** (2 * k - 3)) * f2),
-            )
-            for label, got, want in rows:
-                tally.check(got == want, f"{label} fails at {where}")
+            f0, f1, f2 = (fourier_coefficient(s, t) for s in (s0, s1, s2))
+            d = math.lcm(f0.denominator, f1.denominator, f2.denominator)
+            n0, n1, n2 = (f.numerator * (d // f.denominator) for f in (f0, f1, f2))
+            for label, action, series, (c0, c1, c2) in rows:
+                got = action(series, p, t)
+                want = c0 * n0 + c1 * n1 + c2 * n2
+                tally.check(got.numerator * pp * d == want * got.denominator,
+                            f"{label} fails at {where}")
     return tally.report()
 
 

@@ -19,10 +19,50 @@ from siegelrep.eisenstein import (
     reduced_representatives,
     singular_local_factor,
 )
-from siegelrep.verify import VerifyBounds, verify_coefficient_identities
+from siegelrep.verify import HECKE_GRID, VerifyBounds, verify_coefficient_identities
 
 K4_LEVEL1 = EisensteinSpec(4, LevelPartition(1, 1, 1))
 T111 = HalfIntegralMatrix(1, 1, 1)
+
+
+def raise_level_reference(a_t, a_pt, a_p2t, p, k):
+    """raise_level term by term in Fractions: the reference for the
+    integer assembly."""
+    a_t, a_pt, a_p2t = Fraction(a_t), Fraction(a_pt), Fraction(a_p2t)
+    den = (p**k - 1) * (p ** (2 * k - 2) - 1)
+    low = Fraction(p) ** (4 - k)
+    out0 = (
+        (p ** (3 * k - 2) + p ** (2 * k - 1) - p ** (2 * k - 2) + p ** (k + 1) - p**k - p + 1) * a_t
+        - (p ** (2 * k - 1) + p ** (k + 1) + p * p - p) * a_pt
+        + p * p * a_p2t
+    )
+    out1 = (
+        (-p ** (2 * k - 1) - p ** (k + 1) - p**3 + p) * a_t
+        + (p ** (2 * k - 1) + p ** (k + 1) + p**3 + p * p - p + low) * a_pt
+        - (p * p + low) * a_p2t
+    )
+    out2 = p**3 * a_t - (p**3 + low) * a_pt + low * a_p2t
+    return (out0 / den, out1 / den, out2 / den)
+
+
+def degree_p_moves(p):
+    return [((1, 0), (alpha, p)) for alpha in range(p)] + [((p, 0), (0, 1))]
+
+
+def hecke_tp_reference(spec, p, t):
+    k = spec.k
+    images = [t.transformed(move).divided_by(p) for move in degree_p_moves(p)]
+    total = fourier_coefficient(spec, t.scaled(p))
+    total += p ** (k - 2) * sum((fourier_coefficient(spec, w) for w in images if w is not None),
+                                Fraction(0))
+    if t.divided_by(p) is not None:
+        total += p ** (2 * k - 3) * fourier_coefficient(spec, t.divided_by(p))
+    return total
+
+
+def hecke_u1p2_reference(spec, p, t):
+    return sum((fourier_coefficient(spec, t.transformed(move)) for move in degree_p_moves(p)),
+               Fraction(0))
 
 
 class TestTypes:
@@ -154,6 +194,20 @@ class TestRaiseLevel:
     def test_components_sum_to_input(self, a, b, c, p, k):
         assert sum(raise_level(a, b, c, p, k), Fraction(0)) == a
 
+    @given(st.lists(st.builds(Fraction, st.integers(-10**12, 10**12), st.integers(1, 10**8)),
+                    min_size=3, max_size=3),
+           st.sampled_from([2, 3, 5, 7, 11]), st.sampled_from([4, 6, 8, 10, 12]))
+    @settings(max_examples=300, deadline=None)
+    def test_integer_assembly_matches_the_fraction_reference(self, triple, p, k):
+        got = raise_level(*triple, p, k)
+        assert got == raise_level_reference(*triple, p, k)
+        assert all(type(x) is Fraction for x in got)
+
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_weights_outside_the_basis_rejected(self, k):
+        with pytest.raises(ValueError, match="weight must be even and at least 4"):
+            raise_level(1, 2, 3, 2, k)
+
 
 class TestHecke:
     def test_good_prime_eigenvalue(self):
@@ -188,6 +242,22 @@ class TestHecke:
             raise_level(13440, 604800, 20818560, p, 4)
         with pytest.raises(ValueError, match="prime"):
             LocalOrders(p, 0, 0, 1)
+
+    @pytest.mark.parametrize("level", [1, 3, 7])
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_integer_assembly_matches_fraction_sums(self, level, p):
+        for k in (4, 6):
+            if level % p:
+                for part in partitions_of_level(level):
+                    spec = EisensteinSpec(k, part)
+                    for t in HECKE_GRID:
+                        got = hecke_tp(spec, p, t)
+                        assert got == hecke_tp_reference(spec, p, t) and type(got) is Fraction
+            for part in partitions_of_level(level * p if level % p else level):
+                spec = EisensteinSpec(k, part)
+                for t in HECKE_GRID:
+                    got = hecke_u1p2(spec, p, t)
+                    assert got == hecke_u1p2_reference(spec, p, t) and type(got) is Fraction
 
     def test_divisibility_preconditions(self):
         with pytest.raises(ValueError):

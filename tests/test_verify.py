@@ -1,4 +1,5 @@
 from dataclasses import FrozenInstanceError, asdict, fields
+from fractions import Fraction
 
 import pytest
 
@@ -86,3 +87,51 @@ def test_hecke_suite_detects_a_wrong_u_p(monkeypatch):
     assert len(report.failures) == verify._FAILURE_LIMIT
     assert report.failures[0].startswith("U rank0 fails at ")
     assert all(m.startswith("U rank") for m in report.failures)
+
+
+def test_coefficient_suite_detects_a_dropped_p_power_term(monkeypatch):
+    honest = verify.verify_coefficient_identities(SMALL)
+    assert honest.ok
+    real = verify.raise_level
+
+    def dropped(a_t, a_pt, a_p2t, p, k):
+        # Slot 0 without the p^(k+1) a(T) term of its numerator.
+        out0, out1, out2 = real(a_t, a_pt, a_p2t, p, k)
+        return out0 - Fraction(p ** (k + 1) * a_t, (p**k - 1) * (p ** (2 * k - 2) - 1)), out1, out2
+
+    monkeypatch.setattr(verify, "raise_level", dropped)
+    report = verify.verify_coefficient_identities(SMALL)
+    assert report.checks == honest.checks
+    assert len(report.failures) == verify._FAILURE_LIMIT
+    assert all(m.startswith("level raise mismatch at k=") for m in report.failures)
+
+
+# Reduced bounds for the class-sum suite.
+SMALL_CLASS = VerifyBounds(m_max=40)
+
+
+def test_class_suite_detects_a_dropped_correction_term(monkeypatch):
+    honest = verify.verify_class_identities(SMALL_CLASS)
+    assert honest.ok
+
+    def first_sum_only(p, disc, v, k):
+        # local_correction without its chi_D(p) p^(k-2) term.
+        return Fraction(sum(p ** (j * (2 * k - 3)) for j in range(v + 1)))
+
+    monkeypatch.setattr(verify, "local_correction", first_sum_only)
+    report = verify.verify_class_identities(SMALL_CLASS)
+    assert report.checks == honest.checks
+    assert len(report.failures) == verify._FAILURE_LIMIT
+    assert all(m.startswith("level correction fails at N=") for m in report.failures)
+
+
+def test_class_suite_detects_an_unrestricted_class_sum(monkeypatch):
+    honest = verify.verify_class_identities(SMALL_CLASS)
+    assert honest.ok
+    real = verify.class_divisor_sum
+    # At level 1 the gcd filters on g and h pass every divisor.
+    monkeypatch.setattr(verify, "class_divisor_sum",
+                        lambda level, k, disc, conductor: real(1, k, disc, conductor))
+    report = verify.verify_class_identities(SMALL_CLASS)
+    assert report.checks == honest.checks
+    assert len(report.failures) == verify._FAILURE_LIMIT
