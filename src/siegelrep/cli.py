@@ -128,6 +128,10 @@ def _cmd_rep(args) -> int:
     except ValueError:
         # odd rank has no profile; enumeration is still fine
         level = None
+    except OverflowError as exc:
+        # A level that factorize refuses, as for `basis -N`.
+        print(f"error: invalid lattice: {exc}", file=sys.stderr)
+        return 2
     rec = {"lattice": label, "level": level}
     try:
         t = HalfIntegralMatrix(*_parse_triple(args.matrix, "matrix"))

@@ -105,9 +105,10 @@ def bernoulli(n: int) -> Fraction:
 
 
 def zeta_negative(k: int) -> Fraction:
-    """zeta(1 - k) = -B_k / k.  Intended for even k >= 2."""
-    if k <= 0:
-        raise ValueError("zeta_negative needs k >= 1")
+    """zeta(1 - k) = -B_k / k for k >= 2.  With B_1 = -1/2 the formula
+    fails at k = 1 (zeta(0) = -1/2), so k = 1 is refused too."""
+    if k < 2:
+        raise ValueError("zeta_negative needs k >= 2")
     return -bernoulli(k) / k
 
 

@@ -13,6 +13,7 @@ lower-triangular tuples and decoded on demand.
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -194,9 +195,9 @@ def hilbert_symbol(a, b, p) -> int:
         raise ValueError("hilbert_symbol needs nonzero arguments")
     if p == "infinity" or p == math.inf:
         return -1 if a < 0 and b < 0 else 1
-    p = int(p)
-    if not is_prime(p):
+    if not isinstance(p, numbers.Integral) or not is_prime(int(p)):
         raise ValueError('p must be a prime or "infinity"')
+    p = int(p)
     alpha, u = _unit_split(a, p)
     beta, v = _unit_split(b, p)
     if p == 2:

@@ -2,10 +2,12 @@
 pair counting with prescribed Gram data.
 
 Enumeration is a breadth-first Fincke-Pohst search (Fincke & Pohst,
-Math. Comp. 44, 1985) on numpy arrays.  Its coordinate bounds come from the
-exact LDL' decomposition that lattice.GramMatrix.ldl shares with the genus
-invariants, rescaled to integer arithmetic, so completeness never depends on
-floating point.
+Math. Comp. 44, 1985) on numpy arrays.  Each row of its frontier is one
+partial vector, held in two arrays: the remaining budget, and the coordinates
+with those not yet fixed at 0.  Its coordinate bounds come from the exact LDL'
+decomposition that lattice.GramMatrix.ldl shares with the genus invariants,
+rescaled to integer arithmetic, so completeness never depends on floating
+point.
 
 Only the half-shell h of each norm is stored: the vectors whose last
 nonzero coordinate is positive, in the narrowest integer dtype that the
@@ -116,17 +118,20 @@ def _isqrt(values: np.ndarray) -> np.ndarray:
     return root
 
 
-def _expand(budget: np.ndarray, offs: np.ndarray, tail_zero: np.ndarray, dl: int, gl: int,
-            col: np.ndarray) -> tuple[np.ndarray, ...]:
-    """One level of the search: every admissible value of the last free
-    coordinate of each partial vector in the frontier.  Returns the values,
-    their parents' indices and the next frontier (budget, offs, tail_zero).
-    The temporaries are freed on return, before the next level allocates."""
-    level = offs.shape[1] - 1
-    c = offs[:, level]
+def _expand(budget: np.ndarray, coords: np.ndarray, level: int, dl: int, gl: int,
+            weights: list[int]) -> tuple[np.ndarray, ...]:
+    """One level of the search: every admissible value of coordinate `level`
+    of each partial vector (budget, coords), whose centre weighs the fixed
+    coordinates after `level` by `weights`.  Returns the values, their
+    parents' indices and their budgets.  The temporaries are freed on
+    return, before the next level allocates."""
+    c = np.zeros_like(budget)
+    for w, xs in zip(weights, coords[:, level + 1:].T):
+        if w:
+            c += w * xs.astype(budget.dtype)
     r = _isqrt(budget // gl)
     lo = -((r + c) // dl)
-    lo[tail_zero & (lo < 0)] = 0
+    lo[~coords.any(axis=1) & (lo < 0)] = 0
     hi = (r - c) // dl
     count = np.maximum(hi - lo + 1, 0).astype(np.int64)
     parent = np.repeat(np.arange(len(count)), count)
@@ -140,9 +145,7 @@ def _expand(budget: np.ndarray, offs: np.ndarray, tail_zero: np.ndarray, dl: int
     t *= gl
     rest = budget[parent]
     rest -= t
-    del t
-    return (x, parent, rest, offs[parent, :level] + np.multiply.outer(x, col),
-            tail_zero[parent] & (x == 0))
+    return x, parent, rest
 
 
 def _enumerate(gram: GramMatrix, max_norm: int) -> dict[int, np.ndarray]:
@@ -153,9 +156,11 @@ def _enumerate(gram: GramMatrix, max_norm: int) -> dict[int, np.ndarray]:
     Each linear form is scaled by the lcm of its denominators and the whole
     inequality by a global factor, after which every bound is an integer
     comparison.  Coordinates are fixed from the last to the first; each level
-    expands the frontier of partial vectors by the whole admissible range of
-    its coordinate at once.  While the coordinates after it are all zero, a
-    coordinate starts at 0, so only one of x, -x is produced.
+    expands the frontier by the whole admissible range of its coordinate at
+    once.  A frontier row is one partial vector: its remaining budget, and
+    its coordinates in the half-shell dtype, 0 where not yet fixed.  While
+    the coordinates after it are all zero, a coordinate starts at 0, so only
+    one of x, -x is produced.
     """
     n = gram.size
     diag, low = gram.ldl()
@@ -165,8 +170,8 @@ def _enumerate(gram: GramMatrix, max_norm: int) -> dict[int, np.ndarray]:
     quad = [int(d * scale / e ** 2) for d, e in zip(diag, den)]
     budget0 = scale * max_norm
 
-    # Bound every intermediate: |x_l| <= span[l], |offset_l| <= reach[l],
-    # |den_l x_l + offset_l| <= root[l] for the coordinates kept.
+    # Bound every intermediate: |x_l| <= span[l], |partial sums of centre_l|
+    # <= reach[l], |den_l x_l + centre_l| <= root[l] for the x_l kept.
     root = [isqrt(budget0 // q) for q in quad]
     span, reach = [0] * n, [0] * n
     for level in range(n - 1, -1, -1):
@@ -175,26 +180,21 @@ def _enumerate(gram: GramMatrix, max_norm: int) -> dict[int, np.ndarray]:
     peak = max(budget0 + 2 * isqrt(budget0) + 1, *quad, *den,
                *(abs(v) for row in col for v in row),
                *(den[i] * span[i] + reach[i] + root[i] for i in range(n)))
-    dtype = _exact_dtype(peak)
-
-    budget = np.array([budget0], dtype=dtype)
-    offs = np.zeros((1, n), dtype=dtype)
-    tail_zero = np.ones(1, dtype=bool)
-    steps = []
+    # The narrowest dtype that holds |x| <= span.  VectorShell.vectors is
+    # int64, so a coordinate beyond int64 raises OverflowError when set.
+    half_dtype = np.min_scalar_type(-max(span) - 1)
+    budget = np.array([budget0], dtype=_exact_dtype(peak))
+    coords = np.zeros((1, n), dtype=np.int64 if half_dtype == object else half_dtype)
     for level in range(n - 1, -1, -1):
-        size = len(budget)
-        x, parent, budget, offs, tail_zero = _expand(
-            budget, offs, tail_zero, den[level], quad[level], np.array(col[level], dtype=dtype))
-        # Kept in the narrowest dtypes that hold |x| <= span[level] and
-        # 0 <= parent < size.
-        steps.append((level, x.astype(np.min_scalar_type(-span[level] - 1)),
-                       parent.astype(np.min_scalar_type(size))))
+        x, parent, budget = _expand(budget, coords, level, den[level], quad[level],
+                                    [col[j][level] for j in range(level + 1, n)])
+        coords = coords[parent]
+        coords[:, level] = x
         del x, parent
 
     # Group the leaves by norm; norm 0 is the zero vector alone.  As 8- or
-    # 16-bit keys the norms are radix-sorted.  Only the steps, in their
-    # narrowest dtypes, and the order of the leaves stay alive while the
-    # half-shells are allocated.
+    # 16-bit keys the norms are radix-sorted.  Only the coordinates and the
+    # order of the leaves stay alive while the half-shells are allocated.
     norms = ((budget0 - budget) // scale).astype(np.min_scalar_type(max_norm))
     del budget
     order = np.argsort(norms, kind="stable")
@@ -202,18 +202,9 @@ def _enumerate(gram: GramMatrix, max_norm: int) -> dict[int, np.ndarray]:
     cuts = [*(np.flatnonzero(norms[1:] != norms[:-1]) + 1), len(norms)]
     keys = norms[cuts[:-1]].tolist()
     del norms
-    # Every step's dtype holds its coordinates.  VectorShell.vectors is
-    # int64, so a coordinate beyond int64 raises OverflowError here.
-    half_dtype = np.result_type(*(x.dtype for _, x, _ in steps))
-    if half_dtype == object:
-        half_dtype = np.int64
     out: dict[int, np.ndarray] = {}
     for key, s, e in zip(keys, cuts[:-1], cuts[1:]):
-        half = np.empty((e - s, n), dtype=half_dtype)
-        idx = order[s:e]
-        for level, x, parent in reversed(steps):
-            half[:, level] = x[idx]
-            idx = parent[idx]
+        half = coords[order[s:e]]
         # shells() hands these cached arrays to every caller.
         half.flags.writeable = False
         out[key] = half

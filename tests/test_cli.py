@@ -190,6 +190,17 @@ class TestFactorGuard:
         assert captured.out == ""
         assert captured.err.endswith("no prime factor up to 2**20\n")
 
+    @pytest.mark.parametrize("mode", ["formula", "enumerate", "both"])
+    def test_gram_level_refused(self, capsys, tmp_path, mode):
+        # [[2, 1], [1, 2^70]] has level 2^71 - 1, past FACTOR_GUARD
+        path = tmp_path / "big.gram"
+        path.write_text("2\n2\n1 1180591620717411303424\n")
+        code = main(["rep", "--gram", str(path), "-T", "1,0,0", "--mode", mode])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: invalid lattice: refusing to trial-divide beyond 2**64\n"
+
     def test_prime_below_guard(self, capsys):
         # trial division up to its square root would take ~2^31 divisions
         code, out = run(capsys, "basis", "-N", LARGE_PRIME)

@@ -151,8 +151,13 @@ class TestLValues:
         assert xm.l_negative(3, -4) == Fraction(-1, 2)
 
     def test_trivial_character_matches_zeta(self):
-        for n in (2, 4, 6, 8, 10, 12):
+        # odd n >= 3 included: both sides are 0
+        for n in range(2, 13):
             assert xm.l_negative(n, 1) == xm.zeta_negative(n)
+        # zeta(0) = -1/2 = l_negative(1, 1), but -B_1 / 1 = 1/2
+        assert xm.l_negative(1, 1) == Fraction(-1, 2)
+        with pytest.raises(ValueError):
+            xm.zeta_negative(1)
 
     @pytest.mark.parametrize("n, disc", [(3, -7), (5, -11), (3, -20)])
     def test_against_hurwitz_zeta(self, n, disc):

@@ -171,6 +171,12 @@ class TestHilbertSymbol:
         with pytest.raises(ValueError, match="p must be a prime"):
             hasse_invariant(builtin_lattice("S2"), p)
 
+    @pytest.mark.parametrize("p", [2.5, 3.9, Fraction(7, 2)])
+    def test_rejects_non_integral(self, p):
+        # int() would truncate these to the primes 2, 3 and 3
+        with pytest.raises(ValueError, match="p must be a prime"):
+            hilbert_symbol(3, 5, p)
+
     @given(nonzero_fractions(), nonzero_fractions(), nonzero_fractions(),
            st.sampled_from([2, 3, 5, 7, "infinity"]))
     @settings(max_examples=200, deadline=None)

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import itertools
 import tracemalloc
 from fractions import Fraction
@@ -308,8 +309,8 @@ class TestKernelEquivalence:
         # A2 in the basis (e1, k e1 + e2): its short vectors have coordinates
         # down to -2k - 2, at the int8/int16 edge (k = 62, 63: -126 stored
         # in int8, -128 in int16) and beyond int8, int16 and int32 in turn
-        # (the last on Python ints), so the narrowed steps and half-shells
-        # must still rebuild them exactly.
+        # (the last on Python ints), so the half-shells must still hold them
+        # exactly.
         gram = skewed_a2(k)
         got = {sh.norm: sh.vectors for sh in shells(gram, 8)}
         assert shell_sets(got) == shell_sets(recursive_walk(gram, 8))
@@ -420,6 +421,40 @@ class TestHalfShellStore:
         # 1,769,730 vectors to norm 20, half of them stored, 8 bytes each
         assert sum(len(h) for h in halves) * 2 == 1_769_730
         assert sum(h.nbytes for h in halves) == 7_078_920
+
+    # sha256 over (norm, dtype, shape, bytes) of each half-shell up to norm
+    # 10.  The shell tests compare sets; these pin the row order as well,
+    # which a search over chunks of the frontier must keep.
+    HALF_DIGESTS = {
+        "S1": "527d06ba3abdd647a1dc085c82f8e919004d44db62ff121129ffcce2f468ef85",
+        "S2": "b7e3206a6349e575914aa80ee6c6d3fccdbef69a80a971bb4f920b800fe32fa8",
+        "S3": "4ad837f7fd1d18c3d70dcca103f845acf0a2323db4eea442b5f1d88e23471495",
+        "S4": "4dadced60bd4676517adb4fe05f54dc512866598939eba48388934c9f345501f",
+        "S5": "8f174e30d764ad9c6d84588c0bb358d2d4187aff6c29577dec545e61d95aa8d3",
+    }
+
+    @pytest.mark.parametrize("name", BUILTINS)
+    def test_half_shell_rows_pinned(self, name):
+        digest = hashlib.sha256()
+        by_norm = theta._enumerate(builtin_lattice(name), 10)
+        for norm in sorted(by_norm):
+            half = by_norm[norm]
+            digest.update(f"{norm} {half.dtype.str} {half.shape}\n".encode())
+            digest.update(half.tobytes())
+        assert digest.hexdigest() == self.HALF_DIGESTS[name]
+
+    def test_cold_enumeration_peak(self):
+        # The frontier of a cold search to norm 20 peaks at about 6.4 times
+        # the int8 store it returns.
+        gram = builtin_lattice("S1")
+        clear_caches()
+        tracemalloc.start()
+        try:
+            by_norm = theta._enumerate(gram, 20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 7 * sum(h.nbytes for h in by_norm.values())
 
     def test_warm_shells_build_no_full_shell(self):
         gram = builtin_lattice("S1")
