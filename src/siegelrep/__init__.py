@@ -48,6 +48,6 @@ from .lattice import (
     parse_gram,
     profile,
 )
-from .theta import VectorShell, rep_deg1, rep_deg2, shells
+from .theta import VectorGuardError, VectorShell, rep_deg1, rep_deg2, shells
 
 __version__ = "0.1.0"

@@ -5,7 +5,8 @@ Records go to stdout as JSON lines (default) or CSV.  Rationals are always
 serialized as "numerator/denominator" strings, never floats, so every value
 round-trips exactly.  Exit codes: 0 success, 1 verification or oracle
 failure, 2 usage error (including an invalid series spec or lattice), 3
-invalid matrix argument, 141 stdout closed before all output was written.
+invalid matrix argument, 4 enumeration refused by theta.VECTOR_GUARD, 141
+stdout closed before all output was written.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .eisenstein import (
 )
 from .exactmath import decompose_discriminant, prime_divisors
 from .lattice import BUILTIN_NAMES, builtin_lattice, genus_rep_number, load_gram, profile
-from .theta import rep_deg2
+from .theta import VectorGuardError, rep_deg2
 from .verify import SUITE_NAMES, VerifyBounds, run_suites
 
 __all__ = ["main"]
@@ -150,6 +151,9 @@ def _cmd_rep(args) -> int:
             rec["match"] = rec["value"] == f"{rec['count']}/1"
             if not rec["match"]:
                 status = 1
+    except VectorGuardError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from itertools import repeat
 
 import numpy as np
@@ -78,6 +78,11 @@ class Factorization:
 
     def primes(self) -> tuple[int, ...]:
         return tuple(p for p, _ in self.pairs)
+
+    @cached_property
+    def squarefree(self) -> bool:
+        """Computed once per instance; factorize's table keeps the instances."""
+        return all(a == 1 for _, a in self.pairs)
 
 
 @dataclass(frozen=True)
@@ -203,7 +208,7 @@ def prime_divisors(n: int) -> tuple[int, ...]:
 
 def moebius(n: int) -> int:
     fac = factorize(n)
-    if any(a > 1 for _, a in fac.pairs):
+    if not fac.squarefree:
         return 0
     return -1 if len(fac.pairs) % 2 else 1
 
@@ -220,7 +225,7 @@ def valuation(p: int, n: int) -> int:
 
 
 def is_squarefree(n: int) -> bool:
-    return all(a == 1 for _, a in factorize(n).pairs)
+    return factorize(n).squarefree
 
 
 def is_prime(n: int) -> bool:

@@ -7,7 +7,11 @@ partial vector, held in two arrays: the remaining budget, and the coordinates
 with those not yet fixed at 0.  Its coordinate bounds come from the exact LDL'
 decomposition that lattice.GramMatrix.ldl shares with the genus invariants,
 rescaled to integer arithmetic, so completeness never depends on floating
-point.
+point.  A row needs no other row to finish, so when the next level would hold
+more than _CHUNK rows the frontier is split into contiguous row ranges, each
+taken down to its leaves before the next starts; the search then peaks near
+the store it leaves instead of at its int64 leaf frontier.  A search that
+would pass VECTOR_GUARD vectors is refused before its leaves are allocated.
 
 Only the half-shell h of each norm is stored: the vectors whose last
 nonzero coordinate is positive, in the narrowest integer dtype that the
@@ -51,7 +55,7 @@ from .eisenstein import HalfIntegralMatrix
 from .exactmath import CLEARERS, memo
 from .lattice import GramMatrix
 
-__all__ = ["VectorShell", "shells", "rep_deg1", "rep_deg2"]
+__all__ = ["VECTOR_GUARD", "VectorGuardError", "VectorShell", "shells", "rep_deg1", "rep_deg2"]
 
 # Entries per block of pair products.  A block's float64 products and keys
 # take 2 MB each, little next to the cached shells; blocks of 4 M entries
@@ -62,6 +66,26 @@ _BLOCK = 250_000
 # output, and at most _PACK_BINS histogram bins for the packed keys.
 _PACK_MAX = 4
 _PACK_BINS = 2 ** 16
+
+# Frontier rows per range of the search: when the next level would have more,
+# its parents are split into contiguous ranges that each go down to the
+# leaves on their own (see _enumerate).
+_CHUNK = 2 ** 14
+
+# Leaves are filed by norm in batches of whole ranges, at least _CHUNK rows
+# and at least _PIECE_ROWS rows per norm that a batch may hold.  Each piece
+# a batch files costs microseconds of Python, so a form with few vectors
+# per norm (rank 2 at norms of 10^6, say) files in few large batches.
+_PIECE_ROWS = 16
+
+# The search refuses to enumerate more vectors than this, x and -x counted
+# apart: S1 to norm 32 (4,845,120 vectors) runs, S1 to norm 60 (56.5 M) is
+# refused.  Like exactmath.FACTOR_GUARD it is a constant, not an option.
+VECTOR_GUARD = 2 ** 25
+
+
+class VectorGuardError(ValueError):
+    """A search that would enumerate more than VECTOR_GUARD vectors."""
 
 
 @dataclass(frozen=True)
@@ -118,13 +142,12 @@ def _isqrt(values: np.ndarray) -> np.ndarray:
     return root
 
 
-def _expand(budget: np.ndarray, coords: np.ndarray, level: int, dl: int, gl: int,
+def _bounds(budget: np.ndarray, coords: np.ndarray, level: int, dl: int, gl: int,
             weights: list[int]) -> tuple[np.ndarray, ...]:
-    """One level of the search: every admissible value of coordinate `level`
-    of each partial vector (budget, coords), whose centre weighs the fixed
-    coordinates after `level` by `weights`.  Returns the values, their
-    parents' indices and their budgets.  The temporaries are freed on
-    return, before the next level allocates."""
+    """The admissible values of coordinate `level` of each partial vector
+    (budget, coords), whose centre weighs the fixed coordinates after `level`
+    by `weights`: returns the centres c, the least values lo and the number
+    of values of each row."""
     c = np.zeros_like(budget)
     for w, xs in zip(weights, coords[:, level + 1:].T):
         if w:
@@ -134,6 +157,14 @@ def _expand(budget: np.ndarray, coords: np.ndarray, level: int, dl: int, gl: int
     lo[~coords.any(axis=1) & (lo < 0)] = 0
     hi = (r - c) // dl
     count = np.maximum(hi - lo + 1, 0).astype(np.int64)
+    return c, lo, count
+
+
+def _children(budget: np.ndarray, coords: np.ndarray, c: np.ndarray, lo: np.ndarray,
+              count: np.ndarray, level: int, dl: int, gl: int) -> tuple[np.ndarray, ...]:
+    """The next frontier (budget, coords) from the rows' _bounds: each row's
+    children in the order of their values, the rows in order.  The
+    temporaries are freed on return, before the next level allocates."""
     parent = np.repeat(np.arange(len(count)), count)
     # The next frontier's arrays dominate the peak memory of the search, so
     # they are built in place.
@@ -145,7 +176,9 @@ def _expand(budget: np.ndarray, coords: np.ndarray, level: int, dl: int, gl: int
     t *= gl
     rest = budget[parent]
     rest -= t
-    return x, parent, rest
+    sub = coords[parent]
+    sub[:, level] = x
+    return rest, sub
 
 
 def _enumerate(gram: GramMatrix, max_norm: int) -> dict[int, np.ndarray]:
@@ -161,6 +194,24 @@ def _enumerate(gram: GramMatrix, max_norm: int) -> dict[int, np.ndarray]:
     its coordinates in the half-shell dtype, 0 where not yet fixed.  While
     the coordinates after it are all zero, a coordinate starts at 0, so only
     one of x, -x is produced.
+
+    When a level's children would pass _CHUNK rows, its rows are split into
+    contiguous ranges whose children stay within _CHUNK (a row with more
+    children is a range alone), and each range goes down to its leaves on
+    its own, reusing the level's bounds.  The leaves of consecutive ranges
+    are filed in batches (see _PIECE_ROWS): sorted by norm (stably), with
+    only their half-shell rows kept, norm by norm.  Every leaf of one range
+    precedes every leaf of the next, in the order of a search over the whole
+    frontier, so the rows of each norm, concatenated in batch order, are
+    that search's stable sort: the same arrays, byte for byte, for every
+    _CHUNK and _PIECE_ROWS.
+
+    Raises VectorGuardError when the leaves, each but the zero vector
+    standing for x and -x, would pass VECTOR_GUARD vectors.  The count of
+    finished leaves is checked before each range's leaves are allocated, so
+    the store never passes the guard and the work before a refusal is
+    bounded by it.  There is no volume estimate: a refused search has built
+    up to VECTOR_GUARD / 2 rows first.
     """
     n = gram.size
     diag, low = gram.ldl()
@@ -183,28 +234,69 @@ def _enumerate(gram: GramMatrix, max_norm: int) -> dict[int, np.ndarray]:
     # The narrowest dtype that holds |x| <= span.  VectorShell.vectors is
     # int64, so a coordinate beyond int64 raises OverflowError when set.
     half_dtype = np.min_scalar_type(-max(span) - 1)
-    budget = np.array([budget0], dtype=_exact_dtype(peak))
-    coords = np.zeros((1, n), dtype=np.int64 if half_dtype == object else half_dtype)
-    for level in range(n - 1, -1, -1):
-        x, parent, budget = _expand(budget, coords, level, den[level], quad[level],
-                                    [col[j][level] for j in range(level + 1, n)])
-        coords = coords[parent]
-        coords[:, level] = x
-        del x, parent
+    weights = [[col[j][level] for j in range(level + 1, n)] for level in range(n)]
+    key_dtype = np.min_scalar_type(max_norm)
+    # A batch holds at most max_norm norms besides the zero vector.
+    batch_rows = max(_CHUNK, _PIECE_ROWS * max_norm)
+    batch: list[tuple[np.ndarray, np.ndarray]] = []  # (norms, coords) of leaf ranges
+    pieces: dict[int, list[np.ndarray]] = {}  # norm -> its rows, batch by batch
+    done = waiting = 0  # leaves finished, and those in batch
 
-    # Group the leaves by norm; norm 0 is the zero vector alone.  As 8- or
-    # 16-bit keys the norms are radix-sorted.  Only the coordinates and the
-    # order of the leaves stay alive while the half-shells are allocated.
-    norms = ((budget0 - budget) // scale).astype(np.min_scalar_type(max_norm))
-    del budget
-    order = np.argsort(norms, kind="stable")
-    norms = norms[order]
-    cuts = [*(np.flatnonzero(norms[1:] != norms[:-1]) + 1), len(norms)]
-    keys = norms[cuts[:-1]].tolist()
-    del norms
+    def file() -> None:
+        # As 8- or 16-bit keys the norms are radix-sorted.  Norm 0 is the
+        # zero vector alone, in the first batch only.
+        nonlocal waiting
+        norms = np.concatenate([k for k, _ in batch])
+        coords = np.concatenate([c for _, c in batch])
+        batch.clear()
+        waiting = 0
+        order = np.argsort(norms, kind="stable")
+        norms = norms[order]
+        rows = coords[order]
+        del coords, order
+        starts = np.flatnonzero(np.concatenate(([True], norms[1:] != norms[:-1])))
+        cuts = [*starts.tolist(), len(norms)]
+        for key, s, e in zip(norms[starts].tolist(), cuts, cuts[1:]):
+            if key:
+                pieces.setdefault(key, []).append(rows[s:e].copy())
+
+    def descend(budget: np.ndarray, coords: np.ndarray, level: int) -> None:
+        nonlocal done, waiting
+        if level < 0:
+            batch.append((((budget0 - budget) // scale).astype(key_dtype), coords))
+            done += len(budget)
+            waiting += len(budget)
+            if waiting >= batch_rows:
+                file()
+            return
+        c, lo, count = _bounds(budget, coords, level, den[level], quad[level], weights[level])
+        ends = np.cumsum(count)
+        s = 0
+        while s < len(count):
+            # Rows s..e-1: as many as keep their children within _CHUNK, and
+            # at least one.
+            base = int(ends[s - 1]) if s else 0
+            e = max(s + 1, int(np.searchsorted(ends, base + _CHUNK, side="right")))
+            size = int(ends[e - 1]) - base
+            # Each leaf but the zero vector stands for x and -x.
+            if level == 0 and 2 * (done + size - 1) > VECTOR_GUARD:
+                raise VectorGuardError(
+                    f"refusing to enumerate more than VECTOR_GUARD = {VECTOR_GUARD:,} "
+                    f"vectors: the shells up to norm {max_norm} hold more")
+            # Rows may have no children, so a range may have none either.
+            if size:
+                descend(*_children(budget[s:e], coords[s:e], c[s:e], lo[s:e], count[s:e],
+                                   level, den[level], quad[level]), level - 1)
+            s = e
+
+    descend(np.array([budget0], dtype=_exact_dtype(peak)),
+            np.zeros((1, n), dtype=np.int64 if half_dtype == object else half_dtype), n - 1)
+    if batch:
+        file()
     out: dict[int, np.ndarray] = {}
-    for key, s, e in zip(keys, cuts[:-1], cuts[1:]):
-        half = coords[order[s:e]]
+    for key in sorted(pieces):
+        parts = pieces.pop(key)
+        half = parts[0] if len(parts) == 1 else np.concatenate(parts)
         # shells() hands these cached arrays to every caller.
         half.flags.writeable = False
         out[key] = half
@@ -227,7 +319,8 @@ def _ensure(gram: GramMatrix, max_norm: int) -> dict[int, np.ndarray]:
 
 
 def shells(gram: GramMatrix, max_norm: int) -> list[VectorShell]:
-    """Complete nonempty shells of nonzero vectors with norm up to max_norm."""
+    """Complete nonempty shells of nonzero vectors with norm up to max_norm.
+    Raises VectorGuardError if they hold more than VECTOR_GUARD vectors."""
     if max_norm <= 0:
         raise ValueError("max_norm must be positive")
     by_norm = _ensure(gram, max_norm)
@@ -237,7 +330,8 @@ def shells(gram: GramMatrix, max_norm: int) -> list[VectorShell]:
 def rep_deg1(gram: GramMatrix, m: int) -> int:
     """Number of lattice vectors x with x' S x = 2m.
 
-    Extends the cached shells as needed, so a large m is never a silent 0.
+    Extends the cached shells as needed, so a large m is never a silent 0;
+    a search past VECTOR_GUARD raises VectorGuardError instead.
     """
     if m < 1:
         raise ValueError("m must be positive")

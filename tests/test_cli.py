@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import siegelrep
+from siegelrep import theta
 from siegelrep.cli import _build_parser, main
 from siegelrep.exactmath import FACTOR_GUARD
 from siegelrep.lattice import builtin_lattice, format_gram
@@ -209,6 +210,18 @@ class TestFactorGuard:
         code, out = run(capsys, "coeff", "-k", "4", "-p", "1,1,1", "-T", f"{LARGE_PRIME},0,0")
         assert code == 0
         assert json_lines(out)[0]["content"] == int(LARGE_PRIME)
+
+
+class TestVectorGuard:
+    def test_refused_enumeration_exits_4(self, capsys, monkeypatch):
+        # S1 to norm 80 holds far more than 2^16 vectors.
+        monkeypatch.setattr(theta, "VECTOR_GUARD", 2 ** 16)
+        code = main(["rep", "--lattice", "S1", "-T", "40,0,0", "--mode", "enumerate"])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == ""
+        assert captured.err.startswith("error: refusing to enumerate more than VECTOR_GUARD")
+        assert captured.err.count("\n") == 1
 
 
 class TestVerify:

@@ -443,18 +443,28 @@ class TestHalfShellStore:
             digest.update(half.tobytes())
         assert digest.hexdigest() == self.HALF_DIGESTS[name]
 
-    def test_cold_enumeration_peak(self):
-        # The frontier of a cold search to norm 20 peaks at about 6.4 times
-        # the int8 store it returns.
-        gram = builtin_lattice("S1")
+    @staticmethod
+    def cold_peak(max_norm):
+        """The tracemalloc peak of a cold search of S1, and its store."""
         clear_caches()
         tracemalloc.start()
         try:
-            by_norm = theta._enumerate(gram, 20)
+            by_norm = theta._enumerate(builtin_lattice("S1"), max_norm)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 7 * sum(h.nbytes for h in by_norm.values())
+        return peak, sum(h.nbytes for h in by_norm.values())
+
+    def test_cold_enumeration_peak(self):
+        # The search in row ranges peaks at about 1.8 times the int8 store
+        # (3.0 MiB) that it returns; as one range it peaked at 6.4 times.
+        peak, store = self.cold_peak(20)
+        assert peak <= 3 * store
+
+    def test_cold_enumeration_peak_norm_32(self):
+        # The store is 18.5 MiB; as one range the search peaked at 110 MiB.
+        peak, _ = self.cold_peak(32)
+        assert peak <= 37 * 2 ** 20
 
     def test_warm_shells_build_no_full_shell(self):
         gram = builtin_lattice("S1")
@@ -485,6 +495,91 @@ class TestHalfShellStore:
             assert_half_shell_layout(vectors)
         with pytest.raises(ValueError):
             shell.half[0, 0] = 0
+
+
+def assert_same_halves(got, want):
+    assert list(got) == list(want)
+    for norm, half in want.items():
+        other = got[norm]
+        assert (other.dtype, other.shape) == (half.dtype, half.shape)
+        assert other.tobytes() == half.tobytes()
+
+
+class TestChunkedSearch:
+    """A search split into row ranges, its leaves filed by norm in batches of
+    ranges, keeps every leaf in the order of one range, so the halves are the
+    same byte for byte.  _PIECE_ROWS = 0 files every range on its own."""
+
+    # Chunks of 1 and 7 rows run tens of thousands of ranges per norm 20
+    # search (about 25 s over the built-ins), so they stop at norm 10.
+    @pytest.mark.parametrize("chunk, piece_rows, max_norm", [
+        (1, 16, 10), (7, 0, 10), (7, 16, 10), (100, 0, 20), (100, 16, 20)])
+    @pytest.mark.parametrize("name", BUILTINS)
+    def test_builtins(self, name, chunk, piece_rows, max_norm, monkeypatch):
+        gram = builtin_lattice(name)
+        want = theta._enumerate(gram, max_norm)
+        monkeypatch.setattr(theta, "_CHUNK", chunk)
+        monkeypatch.setattr(theta, "_PIECE_ROWS", piece_rows)
+        assert_same_halves(theta._enumerate(gram, max_norm), want)
+
+    @pytest.mark.parametrize("chunk", [1, 2])
+    def test_range_without_leaves(self, chunk, monkeypatch):
+        # Some rows of the last level have no admissible value; a range
+        # made of such rows alone has no leaves.
+        gram = GramMatrix.from_rows([[8, 2, 0, 1], [2, 6, 3, 3], [0, 3, 2, 1], [1, 3, 1, 4]])
+        want = theta._enumerate(gram, 4)
+        monkeypatch.setattr(theta, "_CHUNK", chunk)
+        monkeypatch.setattr(theta, "_PIECE_ROWS", 0)
+        assert_same_halves(theta._enumerate(gram, 4), want)
+
+    @given(even_grams(), st.sampled_from([1, 7, 100]), st.sampled_from([0, 16]))
+    @settings(max_examples=40, deadline=None)
+    def test_random_even_grams(self, gram, chunk, piece_rows):
+        want = theta._enumerate(gram, 8)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(theta, "_CHUNK", chunk)
+            mp.setattr(theta, "_PIECE_ROWS", piece_rows)
+            assert_same_halves(theta._enumerate(gram, 8), want)
+
+    def test_wide_keys(self, monkeypatch):
+        # A binary form to norm 200,000: 32-bit norm keys and about nine rows
+        # per norm, filed in one batch by default and range by range with
+        # _PIECE_ROWS = 0.
+        gram = GramMatrix.from_rows([[2, 1], [1, 2]])
+        want = theta._enumerate(gram, 200_000)
+        monkeypatch.setattr(theta, "_PIECE_ROWS", 0)
+        assert_same_halves(theta._enumerate(gram, 200_000), want)
+
+
+class TestVectorGuard:
+    def test_refused_within_the_guard(self, monkeypatch):
+        # S1 to norm 32 holds 4,845,120 vectors.  The halves filed before the
+        # refusal hold at most 2^19 int8 rows of 8 bytes (4 MiB); the whole
+        # search peaks at 23 MiB.
+        gram = builtin_lattice("S1")
+        clear_caches()
+        monkeypatch.setattr(theta, "VECTOR_GUARD", 2 ** 20)
+        tracemalloc.start()
+        try:
+            with pytest.raises(theta.VectorGuardError, match="VECTOR_GUARD = 1,048,576"):
+                shells(gram, 32)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2 ** 20
+        assert gram.rows not in theta._stores
+
+    def test_guard_counts_both_signs(self, monkeypatch):
+        # S1 to norm 4: 240 + 2,160 nonzero vectors, 1,200 stored rows.
+        gram = builtin_lattice("S1")
+        monkeypatch.setattr(theta, "VECTOR_GUARD", 2_400)
+        assert sum(map(len, theta._enumerate(gram, 4).values())) == 1_200
+        monkeypatch.setattr(theta, "VECTOR_GUARD", 2_399)
+        with pytest.raises(theta.VectorGuardError):
+            theta._enumerate(gram, 4)
+
+    def test_is_a_value_error(self):
+        assert issubclass(theta.VectorGuardError, ValueError)
 
 
 class TestSparseHistogram:
