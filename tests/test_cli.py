@@ -224,6 +224,80 @@ class TestVectorGuard:
         assert captured.err.count("\n") == 1
 
 
+# Gram files that the refusal table names by key.
+GRAMS = {
+    "short": "2\n2\n1\n",  # three entries needed, two given
+    "toy3": "3\n2\n1 2\n0 1 4\n",  # odd rank: no profile
+    "big": "2\n2\n1 1180591620717411303424\n",  # level 2^71 - 1
+}
+
+
+class TestRefusals:
+    """Every refused input, as one exit code and one exact stderr line with
+    nothing on stdout.  "{short}" and the like stand for the Gram files of
+    GRAMS; VECTOR_GUARD is 2^16 throughout."""
+
+    @pytest.mark.parametrize("argv, code, err", [
+        ("coeff -k 5 -p 1,1,1 -T 0,0,0", 2,
+         "invalid series spec: weight must be even and at least 4"),
+        ("coeff -k 4 -p 4,1,1 -T 0,0,0", 2, "invalid series spec: the level must be squarefree"),
+        ("coeff -k 4 -p 1,1 -T 0,0,0", 2,
+         "invalid series spec: partition must be three comma-separated integers"),
+        ("coeff -k 4 -p a,1,1 -T 0,0,0", 2,
+         "invalid series spec: partition must be three comma-separated integers"),
+        (f"coeff -k 4 -p {PAST_GUARD},1,1 -T 1,1,1", 2,
+         "invalid series spec: refusing to trial-divide beyond 2**64"),
+        ("coeff -k 4 -p 1,1,1", 2, "give -T or --delta-max"),
+        ("coeff -k 4 -p 1,1,1 --delta-max -5", 2, "--delta-max must be non-negative, got -5"),
+        ("coeff -k 4 -p 1,1,1 -T 1,5,1", 3, "invalid matrix: matrix must be positive semidefinite"),
+        ("coeff -k 4 -p 1,1,1 -T 1,2", 3,
+         "invalid matrix: matrix must be three comma-separated integers"),
+        ("coeff -k 4 -p 1,1,1 -T x,0,0", 3,
+         "invalid matrix: matrix must be three comma-separated integers"),
+        ("coeff -k 4 -p 1,1,1 -T 1,2,3,4", 3,
+         "invalid matrix: matrix must be three comma-separated integers"),
+        (f"coeff -k 4 -p 1,1,1 -T {PAST_GUARD},1,1", 3,
+         "invalid matrix: refusing to trial-divide beyond 2**64"),
+        (f"coeff -k 4 -p 1,1,1 -T {SEMIPRIME},0,0", 3,
+         f"invalid matrix: refusing to factor {SEMIPRIME}: no prime factor up to 2**20"),
+        ("rep -T 0,0,0", 2, "give exactly one of --lattice or --gram"),
+        ("rep --lattice S1 --gram {toy3} -T 0,0,0", 2, "give exactly one of --lattice or --gram"),
+        ("rep --gram /nonexistent.gram -T 0,0,0", 2,
+         "invalid lattice: [Errno 2] No such file or directory: '/nonexistent.gram'"),
+        ("rep --gram {short} -T 0,0,0", 2,
+         "invalid lattice: expected 3 entries for size 2, got 2"),
+        ("rep --gram {big} -T 1,0,0", 2, "invalid lattice: refusing to trial-divide beyond 2**64"),
+        ("rep --lattice S1 -T 1,9,1", 3, "invalid matrix: matrix must be positive semidefinite"),
+        ("rep --lattice S1 -T 1,2", 3,
+         "invalid matrix: matrix must be three comma-separated integers"),
+        (f"rep --lattice S1 -T {PAST_GUARD},1,1", 3,
+         "invalid matrix: refusing to trial-divide beyond 2**64"),
+        (f"rep --lattice S1 -T {PAST_GUARD},0,0", 3,
+         "invalid matrix: refusing to trial-divide beyond 2**64"),
+        ("rep --gram {toy3} -T 1,1,1", 2, "profile needs even rank"),
+        ("rep --lattice S1 -T 40,0,0 --mode enumerate", 4,
+         "refusing to enumerate more than VECTOR_GUARD = 65,536 vectors: "
+         "the shells up to norm 80 hold more"),
+        ("basis -N 12", 2, "level must be a squarefree positive integer"),
+        ("basis -N 0", 2, "level must be a squarefree positive integer"),
+        (f"basis -N {PAST_GUARD}", 2, "refusing to trial-divide beyond 2**64"),
+        (f"basis -N {SEMIPRIME}", 2,
+         f"refusing to factor {SEMIPRIME}: no prime factor up to 2**20"),
+        ("verify hecke --t-count -1", 2, "t_count must be non-negative, got -1"),
+        ("verify hecke --t-count 56", 2, "t_count must be at most 55, got 56"),
+    ])
+    def test_refused(self, capsys, tmp_path, monkeypatch, argv, code, err):
+        monkeypatch.setattr(theta, "VECTOR_GUARD", 2 ** 16)
+        paths = {}
+        for key, text in GRAMS.items():
+            paths[key] = tmp_path / f"{key}.gram"
+            paths[key].write_text(text)
+        assert main([arg.format(**paths) for arg in argv.split()]) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {err}\n"
+
+
 class TestVerify:
     def test_small_suite_passes(self, capsys):
         code, out = run(capsys, "verify", "identities", "--delta-max", "10",
