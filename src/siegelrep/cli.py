@@ -3,10 +3,14 @@ verification suites, and the cusp basis listing.
 
 Records go to stdout as JSON lines (default) or CSV.  Rationals are always
 serialized as "numerator/denominator" strings, never floats, so every value
-round-trips exactly.  Exit codes: 0 success, 1 verification or oracle
-failure, 2 usage error (including an invalid series spec or lattice), 3
-invalid matrix argument, 4 enumeration refused by theta.VECTOR_GUARD, 141
-stdout closed before all output was written.
+round-trips exactly.
+
+A subcommand refuses an input by raising _Refusal, and main alone prints its
+one `error:` line and returns its exit code.  The exit codes: 0 success, 1
+verification or oracle failure, 2 usage error (including an invalid series
+spec or lattice), 3 invalid matrix argument, 4 enumeration refused by
+theta.VECTOR_GUARD or pair count refused by theta.PAIR_GUARD, 141 stdout
+closed before all output was written.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ import csv
 import json
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict, fields
 from fractions import Fraction
 
@@ -35,16 +40,29 @@ from .verify import SUITE_NAMES, VerifyBounds, run_suites
 __all__ = ["main"]
 
 
+class _Refusal(Exception):
+    """A refused input, raised as _Refusal(code, message): main prints
+    `error: <message>` and returns the exit code."""
+
+
+@contextmanager
+def _refuse(code: int, prefix: str, *types: type[Exception]):
+    """Re-raises an exception of `types` from the block as a _Refusal with
+    `code` and the message `prefix` + str(exc).  Stacked in one `with`, the
+    last one listed catches first."""
+    try:
+        yield
+    except types as exc:
+        raise _Refusal(code, f"{prefix}{exc}") from None
+
+
 def _frac(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
 def _parse_triple(text: str, what: str) -> tuple[int, int, int]:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise ValueError(f"{what} must be three comma-separated integers")
     try:
-        a, b, c = (int(s) for s in parts)
+        a, b, c = (int(s) for s in text.split(","))
     except ValueError:
         raise ValueError(f"{what} must be three comma-separated integers") from None
     return a, b, c
@@ -56,8 +74,7 @@ def _emit(records: list[dict], fmt: str, stream) -> None:
             return
         writer = csv.DictWriter(stream, fieldnames=list(records[0].keys()))
         writer.writeheader()
-        for rec in records:
-            writer.writerow(rec)
+        writer.writerows(records)
     else:
         for rec in records:
             stream.write(json.dumps(rec) + "\n")
@@ -74,109 +91,66 @@ def _matrix_record(t: HalfIntegralMatrix) -> dict:
 
 
 def _cmd_coeff(args) -> int:
-    try:
+    with _refuse(2, "invalid series spec: ", ValueError, OverflowError):
         spec = EisensteinSpec(args.weight, LevelPartition(*_parse_triple(args.partition, "partition")))
-    except (ValueError, OverflowError) as exc:
-        print(f"error: invalid series spec: {exc}", file=sys.stderr)
-        return 2
     if args.matrix is None and args.delta_max is None:
-        print("error: give -T or --delta-max", file=sys.stderr)
-        return 2
+        raise _Refusal(2, "give -T or --delta-max")
     if args.delta_max is not None and args.delta_max < 0:
-        print(f"error: --delta-max must be non-negative, got {args.delta_max}", file=sys.stderr)
-        return 2
-    try:
+        raise _Refusal(2, f"--delta-max must be non-negative, got {args.delta_max}")
+    # The level passed FACTOR_GUARD above, so an OverflowError is the matrix's.
+    with _refuse(3, "invalid matrix: ", ValueError, OverflowError):
         if args.matrix is not None:
             mats = [HalfIntegralMatrix(*_parse_triple(args.matrix, "matrix"))]
         else:
             mats = reduced_representatives(args.delta_max, args.delta_max,
                                            include_zero=True, all_classes=args.all_classes)
-    except ValueError as exc:
-        print(f"error: invalid matrix: {exc}", file=sys.stderr)
-        return 3
-    records = []
-    try:
-        for t in mats:
-            rec = {"k": spec.k, "n0": spec.partition.n0, "n1": spec.partition.n1,
-                   "n2": spec.partition.n2}
-            rec.update(_matrix_record(t))
-            rec["value"] = _frac(fourier_coefficient(spec, t))
-            records.append(rec)
-    except OverflowError as exc:
-        # The level passed FACTOR_GUARD above, so the matrix is past it.
-        print(f"error: invalid matrix: {exc}", file=sys.stderr)
-        return 3
+        head = {"k": spec.k, "n0": spec.partition.n0, "n1": spec.partition.n1,
+                "n2": spec.partition.n2}
+        records = [{**head, **_matrix_record(t), "value": _frac(fourier_coefficient(spec, t))}
+                   for t in mats]
     _emit(records, args.format, sys.stdout)
     return 0
 
 
 def _cmd_rep(args) -> int:
     if (args.lattice is None) == (args.gram is None):
-        print("error: give exactly one of --lattice or --gram", file=sys.stderr)
-        return 2
-    try:
+        raise _Refusal(2, "give exactly one of --lattice or --gram")
+    # An OverflowError is a level that factorize refuses, as for `basis -N`.
+    with _refuse(2, "invalid lattice: ", ValueError, OSError, OverflowError):
         if args.lattice is not None:
-            gram = builtin_lattice(args.lattice)
-            label = args.lattice
+            gram, label = builtin_lattice(args.lattice), args.lattice
         else:
-            gram = load_gram(args.gram)
-            label = str(args.gram)
-    except (ValueError, OSError) as exc:
-        print(f"error: invalid lattice: {exc}", file=sys.stderr)
-        return 2
-    try:
-        level = profile(gram).level
-    except ValueError:
-        # odd rank has no profile; enumeration is still fine
-        level = None
-    except OverflowError as exc:
-        # A level that factorize refuses, as for `basis -N`.
-        print(f"error: invalid lattice: {exc}", file=sys.stderr)
-        return 2
+            gram, label = load_gram(args.gram), str(args.gram)
+        try:
+            level = profile(gram).level
+        except ValueError:
+            # odd rank has no profile; enumeration is still fine
+            level = None
     rec = {"lattice": label, "level": level}
-    try:
+    with _refuse(3, "invalid matrix: ", ValueError, OverflowError):
         t = HalfIntegralMatrix(*_parse_triple(args.matrix, "matrix"))
         rec.update(_matrix_record(t))
-    except (ValueError, OverflowError) as exc:
-        print(f"error: invalid matrix: {exc}", file=sys.stderr)
-        return 3
     rec.update({"mode": args.mode, "value": None, "count": None, "match": None})
-    status = 0
-    try:
+    # A rank 1 T's content is factored only here, so an OverflowError is the
+    # matrix's.  VectorGuardError is a ValueError, so it is caught first.
+    with (_refuse(3, "invalid matrix: ", OverflowError), _refuse(2, "", ValueError),
+          _refuse(4, "", VectorGuardError)):
         if args.mode in ("formula", "both"):
             rec["value"] = _frac(genus_rep_number(gram, t))
         if args.mode in ("enumerate", "both"):
             rec["count"] = rep_deg2(gram, t)
-        if args.mode == "both":
-            rec["match"] = rec["value"] == f"{rec['count']}/1"
-            if not rec["match"]:
-                status = 1
-    except VectorGuardError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OverflowError as exc:
-        # A rank 1 T past FACTOR_GUARD: its content is factored only here.
-        print(f"error: invalid matrix: {exc}", file=sys.stderr)
-        return 3
+    if args.mode == "both":
+        rec["match"] = rec["value"] == f"{rec['count']}/1"
     _emit([rec], args.format, sys.stdout)
-    return status
+    return 1 if rec["match"] is False else 0
 
 
 def _cmd_basis(args) -> int:
-    try:
+    with _refuse(2, "", ValueError, OverflowError):
         parts = partitions_of_level(args.level)
-    except (ValueError, OverflowError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     records = []
     for part in parts:
-        ranks = {}
-        for i, block in enumerate(part.as_tuple()):
-            for p in prime_divisors(block):
-                ranks[p] = i
+        ranks = {p: i for i, block in enumerate(part.as_tuple()) for p in prime_divisors(block)}
         records.append({
             "n0": part.n0, "n1": part.n1, "n2": part.n2, "level": part.level,
             "constant_term": 1 if (part.n1, part.n2) == (1, 1) else 0,
@@ -187,20 +161,15 @@ def _cmd_basis(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    try:
+    with _refuse(2, "", ValueError):
         bounds = VerifyBounds(**{f.name: getattr(args, f.name) for f in fields(VerifyBounds)})
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     reports = run_suites(args.suite, bounds)
-    bad = False
     for rep in reports:
         state = "ok" if rep.ok else "FAIL"
         print(f"{rep.name}: {rep.checks} checks, {len(rep.failures)} failures [{state}]")
         for line in rep.failures:
             print(f"  {line}")
-        bad = bad or not rep.ok
-    return 1 if bad else 0
+    return 0 if all(rep.ok for rep in reports) else 1
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -218,7 +187,6 @@ def _build_parser() -> argparse.ArgumentParser:
                             "rank 1 content) up to this bound, plus the zero matrix")
     coeff.add_argument("--all-classes", action="store_true",
                        help="range mode also emits the (m,-r,n) twins")
-    coeff.add_argument("--format", choices=("json", "csv"), default="json")
     coeff.set_defaults(func=_cmd_coeff)
 
     rep = sub.add_parser("rep", help="representation numbers of an even lattice")
@@ -226,13 +194,14 @@ def _build_parser() -> argparse.ArgumentParser:
     rep.add_argument("--gram", help="path to a Gram matrix file")
     rep.add_argument("-T", "--matrix", required=True, metavar="m,r,n")
     rep.add_argument("--mode", choices=("formula", "enumerate", "both"), default="formula")
-    rep.add_argument("--format", choices=("json", "csv"), default="json")
     rep.set_defaults(func=_cmd_rep)
 
     basis = sub.add_parser("basis", help="list the cusp basis for one level")
     basis.add_argument("-N", "--level", type=int, required=True)
-    basis.add_argument("--format", choices=("json", "csv"), default="json")
     basis.set_defaults(func=_cmd_basis)
+
+    for cmd in (coeff, rep, basis):
+        cmd.add_argument("--format", choices=("json", "csv"), default="json")
 
     verify = sub.add_parser("verify", help="run an identity suite")
     verify.add_argument("suite", choices=SUITE_NAMES)
@@ -253,6 +222,10 @@ def main(argv=None) -> int:
     try:
         code = args.func(args)
         sys.stdout.flush()
+    except _Refusal as exc:
+        code, message = exc.args
+        print(f"error: {message}", file=sys.stderr)
+        return code
     except BrokenPipeError:
         # The reader closed stdout early.  Point its fd at devnull, so that
         # the flush at interpreter exit cannot raise again.

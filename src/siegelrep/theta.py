@@ -9,9 +9,14 @@ decomposition that lattice.GramMatrix.ldl shares with the genus invariants,
 rescaled to integer arithmetic, so completeness never depends on floating
 point.  A row needs no other row to finish, so when the next level would hold
 more than _CHUNK rows the frontier is split into contiguous row ranges, each
-taken down to its leaves before the next starts; the search then peaks near
-the store it leaves instead of at its int64 leaf frontier.  A search that
-would pass VECTOR_GUARD vectors is refused before its leaves are allocated.
+taken down to its leaves before the next starts; a row with more than _CHUNK
+children goes down in windows of at most _CHUNK of its values.  The search
+then peaks near the store it leaves instead of at its int64 leaf frontier,
+whatever the width of a row.
+
+Two guards bound the work, each raising VectorGuardError: a search past
+VECTOR_GUARD vectors is refused before its leaves are allocated, a pair
+histogram past PAIR_GUARD half-shell products before its first tile runs.
 
 Only the half-shell h of each norm is stored: the vectors whose last
 nonzero coordinate is positive, in the narrowest integer dtype that the
@@ -55,7 +60,8 @@ from .eisenstein import HalfIntegralMatrix
 from .exactmath import CLEARERS, memo
 from .lattice import GramMatrix
 
-__all__ = ["VECTOR_GUARD", "VectorGuardError", "VectorShell", "shells", "rep_deg1", "rep_deg2"]
+__all__ = ["PAIR_GUARD", "VECTOR_GUARD", "VectorGuardError", "VectorShell", "shells",
+           "rep_deg1", "rep_deg2"]
 
 # Entries per block of pair products.  A block's float64 products and keys
 # take 2 MB each, little next to the cached shells; blocks of 4 M entries
@@ -83,9 +89,15 @@ _PIECE_ROWS = 16
 # refused.  Like exactmath.FACTOR_GUARD it is a constant, not an option.
 VECTOR_GUARD = 2 ** 25
 
+# A pair histogram refuses to compute more half-shell products than this:
+# at about 1.3 ns each, some 45 s.  S1 at norms 8 x 8 (3.8 * 10^7 products)
+# runs, S1 at norms 32 x 32 (1.6 * 10^11) is refused.
+PAIR_GUARD = 2 ** 35
+
 
 class VectorGuardError(ValueError):
-    """A search that would enumerate more than VECTOR_GUARD vectors."""
+    """A search that would enumerate more than VECTOR_GUARD vectors, or a pair
+    histogram that would compute more than PAIR_GUARD products."""
 
 
 @dataclass(frozen=True)
@@ -197,18 +209,18 @@ def _enumerate(gram: GramMatrix, max_norm: int) -> dict[int, np.ndarray]:
 
     When a level's children would pass _CHUNK rows, its rows are split into
     contiguous ranges whose children stay within _CHUNK (a row with more
-    children is a range alone), and each range goes down to its leaves on
-    its own, reusing the level's bounds.  The leaves of consecutive ranges
-    are filed in batches (see _PIECE_ROWS): sorted by norm (stably), with
-    only their half-shell rows kept, norm by norm.  Every leaf of one range
-    precedes every leaf of the next, in the order of a search over the whole
-    frontier, so the rows of each norm, concatenated in batch order, are
-    that search's stable sort: the same arrays, byte for byte, for every
-    _CHUNK and _PIECE_ROWS.
+    children is a range alone, taken in windows of _CHUNK of its values),
+    and each range goes down to its leaves on its own, reusing the level's
+    bounds.  The leaves of consecutive ranges are filed in batches (see
+    _PIECE_ROWS): sorted by norm (stably), with only their half-shell rows
+    kept, norm by norm.  Every leaf of one range precedes every leaf of the
+    next, in the order of a search over the whole frontier, so the rows of
+    each norm, concatenated in batch order, are that search's stable sort:
+    the same arrays, byte for byte, for every _CHUNK and _PIECE_ROWS.
 
     Raises VectorGuardError when the leaves, each but the zero vector
     standing for x and -x, would pass VECTOR_GUARD vectors.  The count of
-    finished leaves is checked before each range's leaves are allocated, so
+    finished leaves is checked before each window's leaves are allocated, so
     the store never passes the guard and the work before a refusal is
     bounded by it.  There is no volume estimate: a refused search has built
     up to VECTOR_GUARD / 2 rows first.
@@ -278,15 +290,20 @@ def _enumerate(gram: GramMatrix, max_norm: int) -> dict[int, np.ndarray]:
             base = int(ends[s - 1]) if s else 0
             e = max(s + 1, int(np.searchsorted(ends, base + _CHUNK, side="right")))
             size = int(ends[e - 1]) - base
-            # Each leaf but the zero vector stands for x and -x.
-            if level == 0 and 2 * (done + size - 1) > VECTOR_GUARD:
-                raise VectorGuardError(
-                    f"refusing to enumerate more than VECTOR_GUARD = {VECTOR_GUARD:,} "
-                    f"vectors: the shells up to norm {max_norm} hold more")
-            # Rows may have no children, so a range may have none either.
-            if size:
-                descend(*_children(budget[s:e], coords[s:e], c[s:e], lo[s:e], count[s:e],
-                                   level, den[level], quad[level]), level - 1)
+            # A row with more than _CHUNK children goes down alone, in windows
+            # of `part` values from lo + j; any other range, whose counts are
+            # all within `part`, in one.  Rows may have no children, so a
+            # range may have none either.
+            for j in range(0, size, _CHUNK):
+                part = min(size - j, _CHUNK)
+                # Each leaf but the zero vector stands for x and -x.
+                if level == 0 and 2 * (done + part - 1) > VECTOR_GUARD:
+                    raise VectorGuardError(
+                        f"refusing to enumerate more than VECTOR_GUARD = {VECTOR_GUARD:,} "
+                        f"vectors: the shells up to norm {max_norm} hold more")
+                descend(*_children(budget[s:e], coords[s:e], c[s:e], lo[s:e] + j,
+                                   np.minimum(count[s:e], part), level, den[level],
+                                   quad[level]), level - 1)
             s = e
 
     descend(np.array([budget0], dtype=_exact_dtype(peak)),
@@ -400,6 +417,12 @@ def _pair_histogram(gram: GramMatrix, lo: int, hi: int) -> Mapping[int, int]:
     hb = by_norm.get(hi)
     if ha is None or hb is None:
         return MappingProxyType({})
+    # The half-shell products, for equal norms those of the upper triangle.
+    products = len(ha) * (len(ha) + 1) // 2 if lo == hi else len(ha) * len(hb)
+    if products > PAIR_GUARD:
+        raise VectorGuardError(
+            f"refusing to compute more than PAIR_GUARD = {PAIR_GUARD:,} pair products: "
+            f"norms {lo} x {hi} need {products:,}")
     step = gcd(*(v for row in gram.rows for v in row))
     # Cauchy-Schwarz: |x' S y| <= sqrt(lo * hi).
     bound = isqrt(lo * hi) // step

@@ -13,7 +13,7 @@ import pytest
 import siegelrep
 from siegelrep import theta
 from siegelrep.cli import _build_parser, main
-from siegelrep.exactmath import FACTOR_GUARD
+from siegelrep.exactmath import FACTOR_GUARD, clear_caches
 from siegelrep.lattice import builtin_lattice, format_gram
 from siegelrep.verify import VerifyBounds
 
@@ -222,6 +222,17 @@ class TestVectorGuard:
         assert captured.out == ""
         assert captured.err.startswith("error: refusing to enumerate more than VECTOR_GUARD")
         assert captured.err.count("\n") == 1
+
+    def test_refused_pair_count_exits_4(self, capsys, monkeypatch):
+        # S1 at norms 2 x 2: 120 * 121 / 2 = 7,260 half-shell products.
+        clear_caches()
+        monkeypatch.setattr(theta, "PAIR_GUARD", 7_259)
+        code = main(["rep", "--lattice", "S1", "-T", "1,1,1", "--mode", "enumerate"])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == ""
+        assert captured.err == ("error: refusing to compute more than PAIR_GUARD = 7,259 pair "
+                                "products: norms 2 x 2 need 7,260\n")
 
 
 # Gram files that the refusal table names by key.

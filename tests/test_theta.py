@@ -581,6 +581,50 @@ class TestVectorGuard:
     def test_is_a_value_error(self):
         assert issubclass(theta.VectorGuardError, ValueError)
 
+    @staticmethod
+    def refused_peak(width):
+        """The tracemalloc peak of a refused cold search of 2I whose top row
+        has `width` children."""
+        clear_caches()
+        tracemalloc.start()
+        try:
+            with pytest.raises(theta.VectorGuardError):
+                theta._enumerate(DIAG22, 2 * (width - 1) ** 2)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_wide_row_refused_in_windows(self, monkeypatch):
+        # A row with more than _CHUNK children goes down in windows of its
+        # values, so the peak does not grow with its width; as one range the
+        # top row's 2^20 children alone took 64 MiB.
+        monkeypatch.setattr(theta, "VECTOR_GUARD", 2 ** 16)
+        narrow = self.refused_peak(2 ** 16)
+        assert self.refused_peak(2 ** 20) <= 1.25 * narrow
+        assert narrow <= 4 * 2 ** 20
+
+
+class TestPairGuard:
+    # S1: 120 half-shell rows at norm 2 and 1,080 at norm 4.
+    @pytest.mark.parametrize("lo, hi, products", [(2, 2, 120 * 121 // 2), (2, 4, 120 * 1_080)])
+    def test_counts_half_shell_products(self, lo, hi, products, monkeypatch):
+        gram = builtin_lattice("S1")
+        clear_caches()
+        monkeypatch.setattr(theta, "PAIR_GUARD", products)
+        assert theta._pair_histogram(gram, lo, hi)
+        clear_caches()
+        monkeypatch.setattr(theta, "PAIR_GUARD", products - 1)
+        with pytest.raises(theta.VectorGuardError,
+                           match=f"PAIR_GUARD = {products - 1:,} pair products: "
+                                 f"norms {lo} x {hi} need {products:,}"):
+            theta._pair_histogram(gram, lo, hi)
+
+    def test_default_guard(self):
+        # S1 at norms 32 x 32 passes VECTOR_GUARD, then needs 1.6 * 10^11
+        # products: minutes of work, refused before the first tile.
+        with pytest.raises(theta.VectorGuardError, match="PAIR_GUARD = 34,359,738,368"):
+            rep_deg2(builtin_lattice("S1"), HalfIntegralMatrix(16, 0, 16))
+
 
 class TestSparseHistogram:
     """Keys whose range is wider than the products are counted sparsely."""
