@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -51,14 +52,21 @@ class GramMatrix:
     """Symmetric integer matrix with even diagonal, positive definite.
 
     The genus machinery needs even rank; the plain enumeration helpers do
-    not, so rank is not restricted here.  Equality, hashing and repr use
-    rows only; the LDL' decomposition is derived from them once, when built.
+    not, so rank is not restricted here.  Entries must be integers in the
+    sense of operator.index (Python or numpy ints, not 2.0 or "2"); they are
+    kept as Python ints.  Equality, hashing and repr use rows only; the LDL'
+    decomposition is derived from them once, when built.
     """
 
     rows: tuple[tuple[int, ...], ...]
     _ldl: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        try:
+            rows = tuple(tuple(operator.index(x) for x in row) for row in self.rows)
+        except TypeError:
+            raise ValueError("matrix entries must be integers") from None
+        object.__setattr__(self, "rows", rows)
         n = len(self.rows)
         if n == 0:
             raise ValueError("matrix must be nonempty")
@@ -93,11 +101,11 @@ class GramMatrix:
 
     @classmethod
     def from_rows(cls, rows) -> "GramMatrix":
-        return cls(tuple(tuple(int(x) for x in row) for row in rows))
+        return cls(rows)
 
     @classmethod
     def from_lower_triangular(cls, values) -> "GramMatrix":
-        vals = [int(v) for v in values]
+        vals = list(values)
         size = (math.isqrt(8 * len(vals) + 1) - 1) // 2
         if size * (size + 1) // 2 != len(vals):
             raise ValueError("entry count is not a triangular number")

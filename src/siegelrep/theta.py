@@ -25,21 +25,25 @@ VectorShell.vectors builds the whole shell [h, -h] as a new read-only int64
 array on each access.  Pair histograms are counted on half-shells only,
 H(r) = 2 (h(r) + h(-r)), and for two equal norms on the upper-triangular
 blocks of h x h.  Each arithmetic step runs in the narrowest exact dtype that
-a bound checked at run time allows: float64 (products only, through BLAS)
-below 2^53, int64 below 2^63, and Python ints (dtype=object) above; the code
-is the same for all three.  A histogram keeps only the values r that occur,
-with their counts, so a Gram matrix with huge entries costs no more than its
-products.  Counts are exact ints.
+a bound checked at run time allows: float32 below 2^24 and float64 below
+2^53 (products only, through BLAS), int64 below 2^63, and Python ints
+(dtype=object) above; the code is the same for all four.  A histogram keeps
+only the values r that occur, with their counts, so a Gram matrix with huge
+entries costs no more than its products.  Counts are exact ints.
 
-The dense float64 tier packs p <= 4 cross products into each product as
+The dense float tier packs p <= 4 cross products into each product as
 base-K digits, K = 2 bound + 1 the number of keys.  A packed row is
-sum_j K^(p-1-j) [x_j S | shift] over p rows x_j of a tile, so against a
-column [y | 1] it gives sum_j K^(p-1-j) (x_j' S y + shift), and one
+sum_j K^(p-1-j) [x_j S | shift] over p rows x_j of a row block, so against
+a row [y | 1] it gives sum_j K^(p-1-j) (x_j' S y + shift), and one
 bincount over K^p bins, summed over all but one digit at a time, counts all
 p products.  p is the largest with K^p <= 2^16 whose packed sums stay below
-2^53, checked at run time; else p = 1, one product per output.  A tile whose
-height is not a multiple of p is padded with zero rows; their products,
-all of key 0, are subtracted again.
+2^53, checked at run time; else p = 1, one product per output.  The products
+are float32 when the packed sums stay below 2^24: then every packed entry,
+every partial sum of the sgemm, in any order, and every key is an exact
+integer.  Each row block is packed once, and its transpose multiplies the
+rows [y | 1] of each of its tiles.  A block whose height is not a multiple
+of p is padded with zero rows; their products, all of key 0, are
+subtracted again.
 
 Shells are cached per Gram matrix behind a lock and pair histograms in an
 exactmath.memo table of {r: count} mappings; both are read-only once built
@@ -63,12 +67,13 @@ from .lattice import GramMatrix
 __all__ = ["PAIR_GUARD", "VECTOR_GUARD", "VectorGuardError", "VectorShell", "shells",
            "rep_deg1", "rep_deg2"]
 
-# Entries per block of pair products.  A block's float64 products and keys
-# take 2 MB each, little next to the cached shells; blocks of 4 M entries
-# were slower and raised the peak memory by 64 MB.
+# Outputs per tile of pair products, counted after packing: a tile's float32
+# products take 1 MB and its keys 2 MB, little next to the cached shells;
+# tiles of 4 M float64 outputs were slower and raised the peak memory by
+# 64 MB.
 _BLOCK = 250_000
 
-# The packed float64 tier: at most _PACK_MAX cross products per matmul
+# The packed float tier: at most _PACK_MAX cross products per matmul
 # output, and at most _PACK_BINS histogram bins for the packed keys.
 _PACK_MAX = 4
 _PACK_BINS = 2 ** 16
@@ -135,9 +140,10 @@ CLEARERS.append(_clear_stores)
 
 def _exact_dtype(bound: int, floats: bool = False):
     """The narrowest dtype whose arithmetic is exact on integers of absolute
-    value below bound: float64 (if allowed), int64, else Python ints."""
+    value below bound: float32 or float64 (if allowed), int64, else Python
+    ints."""
     if floats and bound < 2 ** 53:
-        return np.float64
+        return np.float32 if bound < 2 ** 24 else np.float64
     return np.int64 if bound < 2 ** 63 else object
 
 
@@ -356,9 +362,11 @@ def rep_deg1(gram: GramMatrix, m: int) -> int:
     return 0 if half is None else 2 * len(half)
 
 
-def _blocks(na: int, nb: int, same: bool) -> list[tuple[slice, slice, int]]:
-    """Tiles (rows, columns, weight) of at most _BLOCK entries covering the
-    na x nb product matrix.  For two copies of one half-shell the matrix is
+def _blocks(na: int, nb: int, same: bool, digits: int) -> list[tuple[slice, slice, int]]:
+    """Tiles (rows, columns, weight) covering the na x nb product matrix,
+    each of at most _BLOCK outputs once its rows are packed `digits` to a
+    row (see _pack).  The tiles of one row block are consecutive, so the
+    block is packed once.  For two copies of one half-shell the matrix is
     symmetric: only the upper triangle is tiled, the diagonal tiles once and
     the others with weight 2."""
     height = max(1, isqrt(_BLOCK) // 4)
@@ -369,7 +377,7 @@ def _blocks(na: int, nb: int, same: bool) -> list[tuple[slice, slice, int]]:
         if same:
             tiles.append((rows, rows, 1))
             start = rows.stop
-        width = max(1, _BLOCK // (rows.stop - rows.start))
+        width = max(1, _BLOCK // -(-(rows.stop - rows.start) // digits))
         tiles.extend((rows, slice(j, min(j + width, nb)), 2 if same else 1)
                      for j in range(start, nb, width))
     return tiles
@@ -382,7 +390,7 @@ def _absmax(values: np.ndarray) -> int:
 
 
 def _pack_width(base: int, prod_bound: int) -> int:
-    """The number p of cross products that one float64 product carries as
+    """The number p of cross products that one float product carries as
     base-`base` digits: the largest p <= _PACK_MAX with base^p <=
     _PACK_BINS and (sum_{j<p} base^j) * prod_bound < 2^53, where prod_bound
     bounds every |x' S y + shift|; 1 when no larger p passes."""
@@ -435,18 +443,18 @@ def _pair_histogram(gram: GramMatrix, lo: int, hi: int) -> Mapping[int, int]:
     sdtype = _exact_dtype(_absmax(ha) * entry_sum + shift)
     left = ha.astype(sdtype) @ smat.astype(sdtype)
     left = np.column_stack((left, np.full(len(ha), shift, dtype=sdtype)))
-    row_sum = int(np.abs(left).sum(axis=1).max())
-    pdtype = _exact_dtype(row_sum * _absmax(hb), floats=True)
-    left = left.astype(pdtype)
-    right = np.vstack((hb.T, np.ones(len(hb), dtype=np.int64))).astype(pdtype)
+    prod_bound = int(np.abs(left).sum(axis=1).max()) * _absmax(hb)
     # Keys are counted densely, unless their range is wider than the
     # products; then each tile's distinct keys are counted.
     base = 2 * bound + 1
     dense = base <= len(ha) * len(hb)
-    # Dense float64 products carry `digits` keys each, as base-`base`
-    # digits (see the module docstring).
-    digits = (_pack_width(base, row_sum * _absmax(hb))
-              if dense and pdtype is np.float64 else 1)
+    # Dense float products carry `digits` keys each, as base-`base` digits
+    # (see the module docstring); the packed sums pick the dtype.
+    digits = _pack_width(base, prod_bound) if dense else 1
+    pdtype = _exact_dtype(sum(base ** j for j in range(digits)) * prod_bound, floats=True)
+    left = left.astype(pdtype)
+    right = np.ones((len(hb), hb.shape[1] + 1), dtype=pdtype)  # rows [y | 1]
+    right[:, :-1] = hb
 
     # All tiles share one pair of buffers: allocated and freed per tile,
     # they were returned to the system and faulted in again on every tile.
@@ -456,22 +464,30 @@ def _pair_histogram(gram: GramMatrix, lo: int, hi: int) -> Mapping[int, int]:
     part = np.zeros(base ** digits if dense else 0, dtype=np.int64)
     parts = []  # (distinct keys, weighted counts) of each sparse tile
     padded = 0  # weighted products of the zero rows packing adds
-    for rows, cols, weight in _blocks(len(ha), len(hb), lo == hi):
-        block = left[rows]
-        if digits > 1:
-            block, pad = _pack(block, digits, base)
-            padded += weight * pad * (cols.stop - cols.start)
-        size = len(block) * (cols.stop - cols.start)
-        prods = buf[:size].reshape(len(block), -1)
-        np.matmul(block, right[:, cols], out=prods)
+    packed = None  # the row block that `block` holds, packed and transposed
+    for rows, cols, weight in _blocks(len(ha), len(hb), lo == hi, digits):
+        if rows != packed:
+            packed = rows
+            block, pad = _pack(left[rows], digits, base)
+            block = np.ascontiguousarray(block.T)
+        width = cols.stop - cols.start
+        padded += weight * pad * width
+        size = width * block.shape[1]
+        prods = buf[:size].reshape(width, -1)
+        np.matmul(right[cols], block, out=prods)
         if step != 1:
             prods //= step
         np.copyto(flat[:size], prods.ravel(), casting="unsafe")
         if dense:
-            part += weight * np.bincount(flat[:size], minlength=len(part))
+            times = np.bincount(flat[:size], minlength=len(part))
         else:
             distinct, times = np.unique(flat[:size], return_counts=True)
-            parts.append((distinct, weight * times))
+        if weight == 2:
+            times *= 2
+        if dense:
+            part += times
+        else:
+            parts.append((distinct, times))
     if dense:
         # Each digit's own histogram, summed; a zero row's digit is 0
         # against every column.

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 from math import lcm
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -88,6 +89,26 @@ class TestGramMatrix:
         for rows in ([[0, 1], [1, 2]], [[2, 2], [2, 2]], [[2, 1, 2], [1, 2, 2], [2, 2, 2]]):
             with pytest.raises(ValueError, match="positive definite"):
                 GramMatrix.from_rows(rows)
+
+    @pytest.mark.parametrize("entry", [2.5, 2.0, Fraction(5, 2), Fraction(2), "2"],
+                             ids=["2.5", "2.0", "Fraction(5,2)", "Fraction(2)", "str"])
+    @pytest.mark.parametrize("build", [
+        lambda e: GramMatrix.from_rows([[e, 1], [1, 2]]),
+        lambda e: GramMatrix.from_lower_triangular([e, 1, 2]),
+        lambda e: GramMatrix(((e, 1), (1, 2))),
+    ], ids=["from_rows", "from_lower_triangular", "constructor"])
+    def test_non_integral_entries_refused(self, entry, build):
+        # int() would truncate 2.5 to 2 and silently give A2.
+        with pytest.raises(ValueError, match="entries must be integers"):
+            build(entry)
+
+    def test_numpy_int_entries(self):
+        a2 = GramMatrix.from_rows([[2, 1], [1, 2]])
+        for g in (GramMatrix.from_rows(np.array([[2, 1], [1, 2]], dtype=np.int64)),
+                  GramMatrix.from_lower_triangular([np.int64(2), np.int8(1), np.int64(2)]),
+                  GramMatrix(((np.int64(2), 1), (1, np.int16(2))))):
+            assert g == a2 and hash(g) == hash(a2)
+            assert all(type(v) is int for row in g.rows for v in row)
 
     def test_lower_triangular_round_trip(self):
         g = builtin_lattice("S4")

@@ -163,7 +163,8 @@ class TestRepDeg2:
         want = rep_deg2(g3, t)
         monkeypatch.setattr(theta, "_BLOCK", 64)
         half = len(shells(g3, 4)[1].vectors) // 2
-        assert sum(w == 2 for *_, w in theta._blocks(half, half, True)) > 1
+        # K = 9 at norms 4 x 4, so the kernel packs p = 4 products per output.
+        assert sum(w == 2 for *_, w in theta._blocks(half, half, True, 4)) > 1
         clear_caches()
         assert rep_deg2(g3, t) == want
 
@@ -298,7 +299,7 @@ class TestKernelEquivalence:
         monkeypatch.setattr(theta, "_BLOCK", 256)
         clear_caches()
         half = len(shells(gram, 6)[-1].vectors) // 2
-        tiles = theta._blocks(half, half, True)
+        tiles = theta._blocks(half, half, True, 4)  # K <= 13: p = 4
         assert any(w == 2 for *_, w in tiles)
         for a, b in PAIRS:
             assert kernel_counts(gram, a, b) == full_product_counts(gram, a, b)
@@ -346,7 +347,8 @@ TIER_MATS = [HalfIntegralMatrix(m, r, n)
 
 class TestExactTiers:
     """Scaling S and T by c changes no count, while the bounds move every
-    step from float64/int64 to int64 (c = 2^55) and to Python ints (2^70)."""
+    step from float32/int64 to float64/int64 (c = 2^30), to int64 (c = 2^55)
+    and to Python ints (2^70)."""
 
     @pytest.fixture
     def chosen(self, monkeypatch):
@@ -384,10 +386,11 @@ class TestExactTiers:
 
     @pytest.mark.parametrize("rows", [A2.rows, TOY3.rows], ids=["A2", "TOY3"])
     @pytest.mark.parametrize("c, tiers", [
-        (1, {(False, np.int64), (True, np.float64)}),
+        (1, {(False, np.int64), (True, np.float32)}),
+        (2 ** 30, {(False, np.int64), (True, np.float64)}),
         (2 ** 55, {(False, np.int64), (True, np.int64)}),
         (2 ** 70, {(False, object), (True, object)}),
-    ], ids=["1", "2^55", "2^70"])
+    ], ids=["1", "2^30", "2^55", "2^70"])
     def test_scaled_gram(self, rows, c, tiers, chosen):
         base = GramMatrix.from_rows(rows)
         scaled = GramMatrix.from_rows([[c * v for v in row] for row in rows])
@@ -405,6 +408,76 @@ class TestExactTiers:
         for a, b in zip(small, large):
             assert b.vectors.dtype == np.int64 and not b.vectors.flags.writeable
             assert np.array_equal(a.vectors, b.vectors)
+
+
+    # TOY3 scaled by c at norms 6c x 6c: K = 13 keys, p = 4 digits, and the
+    # packed sums are bounded by (1 + 13 + 13^2 + 13^3) * 28c = 66,640c, below
+    # 2^24 up to c = 251.  The bound is not tight: float32 still counts right
+    # at c = 252 and, with one BLAS thread, first miscounts at c = 599.
+    @pytest.mark.parametrize("c, dtype", [(251, np.float32), (252, np.float64)])
+    def test_float32_bound(self, c, dtype, chosen):
+        gram = GramMatrix.from_rows([[c * v for v in row] for row in TOY3.rows])
+        want = {c * r: n for r, n in full_product_counts(TOY3, 6, 6).items()}
+        clear_caches()
+        chosen.clear()
+        assert kernel_counts(gram, 6 * c, 6 * c) == want
+        assert {d for floats, d in chosen if floats} == {dtype}
+        clear_caches()
+
+    def test_float32_past_its_bound_miscounts(self, monkeypatch):
+        # At c = 1001 some packed sums are odd integers above 2^24, which
+        # float32 cannot hold; in any summation order they round and keys move.
+        c = 1001
+        gram = GramMatrix.from_rows([[c * v for v in row] for row in TOY3.rows])
+        want = {c * r: n for r, n in full_product_counts(TOY3, 6, 6).items()}
+        pick = theta._exact_dtype
+        clear_caches()
+        assert kernel_counts(gram, 6 * c, 6 * c) == want
+        monkeypatch.setattr(theta, "_exact_dtype",
+                            lambda bound, floats=False: np.float32 if floats else pick(bound))
+        clear_caches()
+        assert kernel_counts(gram, 6 * c, 6 * c) != want
+        clear_caches()
+
+
+class TestTileGeometry:
+    """_blocks(na, nb, same, digits) covers the products once: every pair
+    counted with its weight, no two tiles overlapping, each tile within
+    _BLOCK outputs once packed, and a row block's tiles consecutive."""
+
+    SIZES = [1, 2, 124, 125, 126, 3 * 125 + 1]
+
+    @pytest.mark.parametrize("block", [300, theta._BLOCK])
+    @pytest.mark.parametrize("same", [False, True])
+    @pytest.mark.parametrize("digits", [1, 2, 3, 4])
+    def test_tiles(self, digits, same, block, monkeypatch):
+        monkeypatch.setattr(theta, "_BLOCK", block)
+        for na, nb in itertools.product(self.SIZES, repeat=2):
+            if same and nb != na:
+                continue
+            tiles = theta._blocks(na, nb, same, digits)
+            cover = np.zeros((na, nb), dtype=np.int64)
+            weighted = 0
+            for rows, cols, weight in tiles:
+                height, width = rows.stop - rows.start, cols.stop - cols.start
+                assert 0 < height and 0 < width
+                assert -(-height // digits) * width <= block
+                cover[rows, cols] += 1
+                weighted += weight * height * width
+                if same and weight == 1:
+                    assert rows == cols
+                elif same:
+                    assert weight == 2 and cols.start >= rows.stop
+                else:
+                    assert weight == 1
+            assert cover.max() == 1
+            assert weighted == na * nb
+            if same:
+                assert int(np.triu(cover).sum()) == na * (na + 1) // 2
+            else:
+                assert int(cover.sum()) == na * nb
+            starts = [rows.start for rows, _, _ in tiles]
+            assert starts == sorted(starts)
 
 
 class TestHalfShellStore:
@@ -714,7 +787,7 @@ class TestPackedKernel:
         monkeypatch.setattr(theta, "_BLOCK", 256)
         force(digits)
         half = len(shells(gram, 6)[-1].half)
-        weights = {w for *_, w in theta._blocks(half, half, True)}
+        weights = {w for *_, w in theta._blocks(half, half, True, digits)}
         assert weights == {1, 2}
         for a, b in PAIRS:
             assert kernel_counts(gram, a, b) == full_counts(gram, a, b)
