@@ -7,8 +7,7 @@ from .eisenstein import (
     EisensteinSpec,
     HalfIntegralMatrix,
     LevelPartition,
-    LocalOrders,
-    definite_local_factor,
+    definite_local_factors,
     fourier_coefficient,
     hecke_tp,
     hecke_u1p2,
@@ -16,7 +15,7 @@ from .eisenstein import (
     partitions_of_level,
     raise_level,
     reduced_representatives,
-    singular_local_factor,
+    singular_local_factors,
 )
 from .exactmath import (
     Factorization,

@@ -5,9 +5,9 @@ cohen_h_level(N, k, M) restricts both divisor variables of the classical sum
 to integers coprime to N; level 1 recovers the plain value.  For
 -M = D f**2 it is L(2 - k, chi_D) times the integer class_divisor_sum(N, k,
 D, f), which the coefficient engine and the class-sum checks use
-directly.  Multiplying the level Np sum by local_correction(p, D, ord_p(f),
-k) recovers the level N sum, which is the identity the verification suites
-exercise.
+directly.  Multiplying the level Np sum by the integer local_correction(p,
+chi_D(p), ord_p(f), k) recovers the level N sum, which is the identity the
+verification suites exercise.
 """
 
 from __future__ import annotations
@@ -74,15 +74,21 @@ def cohen_h_level(level: int, k: int, m: int) -> Fraction:
     return l_negative(k - 1, dec.disc) * acc
 
 
-def local_correction(p: int, disc: int, v: int, k: int) -> Fraction:
-    """Geometric factor linking the class sums of level Np and level N at p:
+def local_correction(p: int, chi: int, v: int, k: int) -> int:
+    """Geometric factor linking the class sums of level Np and level N at p,
+    where chi is chi_D(p):
 
-        sum_{j<=v} p^(j(2k-3)) - chi_D(p) p^(k-2) sum_{j<=v-1} p^(j(2k-3))
+        sum_{j<=v} p^(j(2k-3)) - chi p^(k-2) sum_{j<=v-1} p^(j(2k-3))
 
-    with empty sums equal to 0.  Negative v is rejected.
+    with empty sums equal to 0.  Negative v, a chi outside -1, 0, 1 and a
+    weight that is odd or below 4 are rejected.
     """
+    if k < 4 or k % 2:
+        raise ValueError("weight must be even and at least 4")
+    if chi not in (-1, 0, 1):
+        raise ValueError(f"chi must be -1, 0 or 1, got {chi}")
     if v < 0:
         raise ValueError("order must be non-negative")
     first = sum(p ** (j * (2 * k - 3)) for j in range(v + 1))
     second = sum(p ** (j * (2 * k - 3)) for j in range(v))
-    return Fraction(first - kronecker_symbol(disc, p) * p ** (k - 2) * second)
+    return first - chi * p ** (k - 2) * second

@@ -5,9 +5,12 @@ N = N0 * N1 * N2, one series per 0-cusp; the series for (N, 1, 1) is the one
 with constant term 1.  Coefficients are exact rationals indexed by positive
 semidefinite half-integral 2x2 matrices.  The closed formula multiplies a
 level 1 style divisor sum (of class-number values in the definite case, of
-powers in the rank 1 case) by one local factor per prime dividing the level.
-Only the slot of each prime depends on the partition, so one term table per
-(level, k, delta, content) is shared by every partition of the level.
+powers in the rank 1 case) by one local factor per prime p dividing the
+level.  That factor depends only on the local data at p (the orders of p in
+the content and the conductor, and chi_D(p)) and on the slot of p in the
+partition, so each local factor function returns the triple of its values in
+slots 0, 1 and 2, and one term table per (level, k, delta, content) is shared
+by every partition of the level.
 
 raise_level and the Hecke actions give independent evaluation routes; the
 verification suites compare them against the closed formula, which is the
@@ -44,10 +47,9 @@ __all__ = [
     "HalfIntegralMatrix",
     "LevelPartition",
     "EisensteinSpec",
-    "LocalOrders",
     "partitions_of_level",
-    "singular_local_factor",
-    "definite_local_factor",
+    "singular_local_factors",
+    "definite_local_factors",
     "fourier_coefficient",
     "raise_level",
     "hecke_tp",
@@ -138,24 +140,6 @@ class EisensteinSpec:
         _require_weight(self.k)
 
 
-@dataclass(frozen=True)
-class LocalOrders:
-    """Local data at p for the definite-case factor: u and v are the orders
-    of p in the content and in the conductor, chi the character value at p."""
-
-    p: int
-    u: int
-    v: int
-    chi: int
-
-    def __post_init__(self) -> None:
-        _require_prime(self.p)
-        _require_order("u", self.u)
-        _require_order("v", self.v)
-        if self.chi not in (-1, 0, 1):
-            raise ValueError(f"chi must be -1, 0 or 1, got {self.chi}")
-
-
 def partitions_of_level(level: int) -> tuple[LevelPartition, ...]:
     """All ordered factorizations of a squarefree level into three parts."""
     if level < 1 or not is_squarefree(level):
@@ -170,54 +154,48 @@ def partitions_of_level(level: int) -> tuple[LevelPartition, ...]:
     return tuple(sorted(parts, key=lambda q: q.as_tuple()))
 
 
-def singular_local_factor(i: int, p: int, u: int, k: int) -> Fraction:
-    """Factor at p for rank 1 coefficients, by the slot index i of p in the
+def singular_local_factors(p: int, u: int, k: int) -> tuple[Fraction, Fraction, Fraction]:
+    """Factors at p for rank 1 coefficients in slots 0, 1 and 2 of the
     partition; u is the order of p in the content."""
     _require_prime(p)
     _require_order("u", u)
-    if i == 2:
-        return Fraction(0)
+    _require_weight(k)
     x = p ** (k - 1)
     high = x ** (u + 1)
-    if i == 1:
-        return Fraction(high * p, p**k - 1)
-    if i == 0:
-        return Fraction(high - 1, x - 1) - Fraction(high * p, p**k - 1)
-    raise ValueError("slot index must be 0, 1 or 2")
+    slot1 = Fraction(high * p, p**k - 1)
+    return Fraction(high - 1, x - 1) - slot1, slot1, Fraction(0)
 
 
 @memo
-def definite_local_factor(i: int, orders: LocalOrders, k: int) -> Fraction:
-    """Factor at p for definite coefficients, by the slot index i of p."""
-    p, u, v, chi = orders.p, orders.u, orders.v, orders.chi
+def definite_local_factors(p: int, u: int, v: int, chi: int,
+                           k: int) -> tuple[Fraction, Fraction, Fraction]:
+    """Factors at p for definite coefficients in slots 0, 1 and 2 of the
+    partition.  u and v are the orders of p in the content and in the
+    conductor, so u <= v; chi is the character value at p."""
+    _require_prime(p)
+    _require_order("u", u)
+    _require_order("v", v)
+    if u > v:
+        raise ValueError(f"u must be at most v, got u={u} v={v}")
+    if chi not in (-1, 0, 1):
+        raise ValueError(f"chi must be -1, 0 or 1, got {chi}")
+    _require_weight(k)
     y = 2 * k - 3
     a = p**y - chi * p ** (k - 2)
     b = chi * p ** (k - 2) - 1
     yv = p ** (v * y)
-    cross = Fraction(p) ** ((v - u) * y) * p ** (u * (k - 1))
-    if i == 2:
-        return a * Fraction(yv * p ** (k + 1), (p ** (2 * k - 2) - 1) * (p**k - 1))
-    if i == 1:
-        lead = a * (
-            yv * Fraction(p ** (k - 1) * (p * p - 1),
-                          (p ** (2 * k - 2) - 1) * (p**k - 1) * (p ** (k - 2) - 1))
-            - cross * Fraction(p * (p ** (k - 1) - 1),
-                               (p**y - 1) * (p**k - 1) * (p ** (k - 2) - 1))
-        )
-        return lead + b * p ** (u * (k - 1)) * Fraction(p**k, (p**y - 1) * (p**k - 1))
-    if i == 0:
-        lead = a * (
-            yv * Fraction(p ** (k - 2) * (p - 1),
-                          (p**y - 1) * (p ** (2 * k - 2) - 1) * (p ** (k - 2) - 1))
-            - cross * Fraction(p - 1, (p**y - 1) * (p**k - 1) * (p ** (k - 2) - 1))
-        )
-        tail = b * (
-            p ** (u * (k - 1)) * Fraction(p ** (k - 1) * (p - 1),
-                                          (p**y - 1) * (p**k - 1) * (p ** (k - 1) - 1))
-            - Fraction(1, (p**y - 1) * (p ** (k - 1) - 1))
-        )
-        return lead + tail
-    raise ValueError("slot index must be 0, 1 or 2")
+    pu = p ** (u * (k - 1))
+    cross = p ** ((v - u) * y) * pu
+    # p^e - 1 for e = 2k - 3, k, 2k - 2, k - 1 and k - 2.
+    qy, qk, q2, q1, q0 = (p**e - 1 for e in (y, k, 2 * k - 2, k - 1, k - 2))
+    slot2 = a * Fraction(yv * p ** (k + 1), q2 * qk)
+    slot1 = (a * (yv * Fraction(p ** (k - 1) * (p * p - 1), q2 * qk * q0)
+                  - cross * Fraction(p * q1, qy * qk * q0))
+             + b * pu * Fraction(p**k, qy * qk))
+    slot0 = (a * (yv * Fraction(p ** (k - 2) * (p - 1), qy * q2 * q0)
+                  - cross * Fraction(p - 1, qy * qk * q0))
+             + b * (pu * Fraction(p ** (k - 1) * (p - 1), qy * qk * q1) - Fraction(1, qy * q1)))
+    return slot0, slot1, slot2
 
 
 @memo
@@ -246,8 +224,8 @@ def fourier_coefficient(spec: EisensteinSpec, mat: HalfIntegralMatrix) -> Fracti
 @memo
 def _level_terms(level: int, k: int, delta: int, content: int) -> tuple[tuple, int, int]:
     """Coefficient data shared by every partition of the level: each prime of
-    the level with its local factor in slots 0, 1, 2, and the level 1 style
-    factor as (numerator, denominator).
+    the level with its local factor triple, indexed by slot 0, 1, 2, and the
+    level 1 style factor as (numerator, denominator).
 
     For rank 1 (delta = 0) that factor is 2 / zeta(1 - k) times the power
     sum over divisors d of the content coprime to the level.  For definite
@@ -257,22 +235,19 @@ def _level_terms(level: int, k: int, delta: int, content: int) -> tuple[tuple, i
     """
     coprime = [d for d in divisors(content) if math.gcd(d, level) == 1]
     if delta == 0:
-        local = tuple((p, tuple(singular_local_factor(i, p, valuation(p, content), k)
-                                for i in range(3)))
+        local = tuple((p, singular_local_factors(p, valuation(p, content), k))
                       for p in prime_divisors(level))
         zeta = zeta_negative(k)
         return local, 2 * sum(d ** (k - 1) for d in coprime) * zeta.denominator, zeta.numerator
     dec = decompose_discriminant(delta)
     disc, conductor = dec.disc, dec.conductor
-    local = []
-    for p in prime_divisors(level):
-        orders = LocalOrders(p, valuation(p, content), valuation(p, conductor),
-                             kronecker_symbol(disc, p))
-        local.append((p, tuple(definite_local_factor(i, orders, k) for i in range(3))))
+    local = tuple((p, definite_local_factors(p, valuation(p, content), valuation(p, conductor),
+                                             kronecker_symbol(disc, p), k))
+                  for p in prime_divisors(level))
     class_sum = sum(d ** (k - 1) * class_divisor_sum(level, k, disc, conductor // d)
                     for d in coprime)
     const = 2 * l_negative(k - 1, disc) / (zeta_negative(k) * zeta_negative(2 * k - 2))
-    return tuple(local), class_sum * const.numerator, const.denominator
+    return local, class_sum * const.numerator, const.denominator
 
 
 def _require_prime(p: int) -> None:

@@ -18,8 +18,7 @@ from .classnumbers import class_divisor_sum, cohen_h_level, local_correction
 from .eisenstein import (
     EisensteinSpec,
     LevelPartition,
-    LocalOrders,
-    definite_local_factor,
+    definite_local_factors,
     fourier_coefficient,
     hecke_tp,
     hecke_u1p2,
@@ -27,12 +26,11 @@ from .eisenstein import (
     partitions_of_level,
     raise_level,
     reduced_representatives,
-    singular_local_factor,
+    singular_local_factors,
 )
 from .exactmath import (
     decompose_discriminant,
     divisors,
-    is_fundamental_discriminant,
     is_prime,
     is_squarefree,
     kronecker_symbol,
@@ -224,9 +222,9 @@ def verify_class_identities(bounds: VerifyBounds = VerifyBounds()) -> SuiteRepor
                 for m, dec in decs:
                     disc, f = dec.disc, dec.conductor
                     raised = class_divisor_sum(level * p, k, disc, f)
-                    corr = local_correction(p, disc, valuation(p, f), k)
+                    corr = local_correction(p, kronecker_symbol(disc, p), valuation(p, f), k)
                     here = f"N={level} p={p} k={k} M={m}"
-                    tally.check(raised * corr.numerator == at_level[k, m] * corr.denominator,
+                    tally.check(raised * corr == at_level[k, m],
                                 f"level correction fails at {here}")
                     # -p^2 M = D (p f)^2: the same L-value on both sides again.
                     tally.check(class_divisor_sum(level * p, k, disc, p * f) == raised,
@@ -240,14 +238,6 @@ def verify_class_identities(bounds: VerifyBounds = VerifyBounds()) -> SuiteRepor
     return tally.report()
 
 
-def _fundamental_with_character(p: int, chi: int) -> int:
-    d = -3
-    while True:
-        if is_fundamental_discriminant(d) and kronecker_symbol(d, p) == chi:
-            return d
-        d -= 1
-
-
 def verify_local_sums() -> SuiteReport:
     """Sums of the local factors against the correction-factor sums.
 
@@ -259,23 +249,20 @@ def verify_local_sums() -> SuiteReport:
         for k in LOCAL_WEIGHTS:
             for u in range(LOCAL_ORDER_MAX + 1):
                 want = sum(p ** (j * (k - 1)) for j in range(u + 1))
-                got = sum((singular_local_factor(i, p, u, k) for i in range(3)), Fraction(0))
+                got = sum(singular_local_factors(p, u, k), Fraction(0))
                 tally.check(got == want, f"singular sum fails at p={p} u={u} k={k}")
             for chi in (-1, 0, 1):
-                disc = _fundamental_with_character(p, chi)
                 for v in range(LOCAL_ORDER_MAX + 1):
                     for u in range(v + 1):
-                        orders = LocalOrders(p, u, v, chi)
-                        got = sum((definite_local_factor(i, orders, k) for i in range(3)),
-                                  Fraction(0))
-                        want = sum(p ** (j * (k - 1)) * local_correction(p, disc, v - j, k)
+                        got = sum(definite_local_factors(p, u, v, chi, k), Fraction(0))
+                        want = sum(p ** (j * (k - 1)) * local_correction(p, chi, v - j, k)
                                    for j in range(u + 1))
                         tally.check(got == want,
                                     f"definite sum fails at p={p} chi={chi} u={u} v={v} k={k}")
-                    recur = (local_correction(p, disc, v, k)
+                    recur = (local_correction(p, chi, v, k)
                              + p ** ((v + 1) * (2 * k - 3))
                              - chi * p ** (k - 2) * p ** (v * (2 * k - 3)))
-                    tally.check(local_correction(p, disc, v + 1, k) == recur,
+                    tally.check(local_correction(p, chi, v + 1, k) == recur,
                                 f"correction recursion fails at p={p} chi={chi} v={v} k={k}")
     return tally.report()
 

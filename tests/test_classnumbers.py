@@ -76,17 +76,30 @@ def test_l_value_times_integer_sum(level, k):
 class TestLocalCorrection:
     def test_order_zero_is_one(self):
         for p, disc, k in [(2, -3, 4), (3, -4, 6), (5, -7, 4)]:
-            assert local_correction(p, disc, 0, k) == 1
+            assert local_correction(p, kronecker_symbol(disc, p), 0, k) == 1
 
     def test_order_one_expansion(self):
-        assert local_correction(2, -3, 1, 4) == 37
+        assert local_correction(2, -1, 1, 4) == 37
         for p, disc, k in [(2, -3, 4), (3, -4, 4), (5, -3, 6), (7, -8, 4)]:
             chi = kronecker_symbol(disc, p)
-            assert local_correction(p, disc, 1, k) == 1 + p ** (2 * k - 3) - chi * p ** (k - 2)
+            got = local_correction(p, chi, 1, k)
+            assert got == 1 + p ** (2 * k - 3) - chi * p ** (k - 2) and type(got) is int
 
     def test_rejects_negative_order(self):
         with pytest.raises(ValueError):
-            local_correction(2, -3, -1, 4)
+            local_correction(2, -1, -1, 4)
+
+    @pytest.mark.parametrize("args, message", [
+        # With D = -3 in the chi position, k = 1 returned 2, through the
+        # float 2**-1.
+        ((2, -3, 1, 1), "weight must be even and at least 4"),
+        ((2, -1, 1, 5), "weight must be even and at least 4"),
+        # A discriminant in place of chi_D(p).
+        ((2, -3, 1, 4), "chi must be -1, 0 or 1, got -3"),
+    ])
+    def test_broken_preconditions_refused(self, args, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            local_correction(*args)
 
 
 def test_identity_suite_small():

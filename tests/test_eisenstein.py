@@ -1,15 +1,16 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from siegelrep.classnumbers import local_correction
 from siegelrep.eisenstein import (
     EisensteinSpec,
     HalfIntegralMatrix,
     LevelPartition,
-    LocalOrders,
-    definite_local_factor,
+    definite_local_factors,
     fourier_coefficient,
     hecke_tp,
     hecke_u1p2,
@@ -17,7 +18,7 @@ from siegelrep.eisenstein import (
     partitions_of_level,
     raise_level,
     reduced_representatives,
-    singular_local_factor,
+    singular_local_factors,
 )
 from siegelrep.verify import HECKE_GRID, VerifyBounds, verify_coefficient_identities
 
@@ -102,50 +103,76 @@ class TestTypes:
 
 class TestLocalFactors:
     def test_singular_values(self):
-        assert singular_local_factor(1, 2, 0, 4) == Fraction(16, 15)
-        assert singular_local_factor(0, 2, 0, 4) == Fraction(-1, 15)
-        assert singular_local_factor(2, 2, 0, 4) == 0
-        assert singular_local_factor(2, 7, 3, 6) == 0
+        assert singular_local_factors(2, 0, 4) == (Fraction(-1, 15), Fraction(16, 15), 0)
+        assert singular_local_factors(7, 3, 6)[2] == 0
 
     def test_singular_sum(self):
         for p in (2, 3, 5, 7):
             for u in range(5):
                 for k in (4, 6, 8):
-                    total = sum(singular_local_factor(i, p, u, k) for i in range(3))
+                    total = sum(singular_local_factors(p, u, k))
                     assert total == sum(p ** (j * (k - 1)) for j in range(u + 1))
 
     def test_definite_values(self):
-        assert definite_local_factor(2, LocalOrders(2, 0, 0, -1), 4) == Fraction(128, 105)
-        total0 = sum(definite_local_factor(i, LocalOrders(2, 0, 0, -1), 4) for i in range(3))
-        assert total0 == 1
-        total1 = sum(definite_local_factor(i, LocalOrders(2, 1, 1, -1), 4) for i in range(3))
-        assert total1 == 45
+        assert definite_local_factors(2, 0, 0, -1, 4)[2] == Fraction(128, 105)
+        assert sum(definite_local_factors(2, 0, 0, -1, 4)) == 1
+        assert sum(definite_local_factors(2, 1, 1, -1, 4)) == 45
 
-    def test_bad_slot_rejected(self):
-        with pytest.raises(ValueError):
-            singular_local_factor(3, 2, 0, 4)
-        with pytest.raises(ValueError):
-            definite_local_factor(-1, LocalOrders(2, 0, 0, 1), 4)
+    def test_local_values_digest(self):
+        """Every local value, slot by slot, for p <= 13, k <= 12 and orders up
+        to 5, frozen as a sha256 of its text lines."""
+        def text(x):
+            return f"{x.numerator}/{x.denominator}"
+
+        lines = []
+        for p in (2, 3, 5, 7, 11, 13):
+            for k in (4, 6, 8, 10, 12):
+                for u in range(6):
+                    triple = singular_local_factors(p, u, k)
+                    lines.append(f"S {p} {k} {u}: " + " ".join(map(text, triple)))
+                for chi in (-1, 0, 1):
+                    for v in range(6):
+                        lines.append(f"C {p} {k} {chi} {v}: "
+                                     + text(local_correction(p, chi, v, k)))
+                        for u in range(v + 1):
+                            triple = definite_local_factors(p, u, v, chi, k)
+                            lines.append(f"D {p} {k} {chi} {u} {v}: "
+                                         + " ".join(map(text, triple)))
+        assert len(lines) == 2610
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == "3ebb4c184314408daffb7a226f29e08e9e07d77a994eca4caeff8b95d801a863"
 
     @pytest.mark.parametrize("orders, message", [
         ((2, -1, 0, 1), "u must be non-negative, got -1"),
         ((2, 0, -1, 1), "v must be non-negative, got -1"),
         ((2, 0, 0, 2), "chi must be -1, 0 or 1, got 2"),
         ((2, 0, 0, -2), "chi must be -1, 0 or 1, got -2"),
+        # The content divides the conductor; u > v returned 368/27 in slot 1.
+        ((2, 2, 1, 1), "u must be at most v, got u=2 v=1"),
     ])
     def test_bad_local_orders_rejected(self, orders, message):
         # u < 0 made p ** (u * (k - 1)) a float.
         with pytest.raises(ValueError, match=f"^{message}$"):
-            LocalOrders(*orders)
+            definite_local_factors(*orders, 4)
 
-    @pytest.mark.parametrize("i, p, u, message", [
-        (0, 2, -2, "u must be non-negative, got -2"),
-        (1, 4, 1, "p must be prime, got 4"),
-        (2, 4, 1, "p must be prime, got 4"),
+    @pytest.mark.parametrize("p, u, message", [
+        (2, -2, "u must be non-negative, got -2"),
+        (4, 1, "p must be prime, got 4"),
     ])
-    def test_bad_singular_arguments_rejected(self, i, p, u, message):
+    def test_bad_singular_arguments_rejected(self, p, u, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
-            singular_local_factor(i, p, u, 4)
+            singular_local_factors(p, u, 4)
+
+    @pytest.mark.parametrize("call, args", [
+        # These returned -1/7 and -1/19844, and raised ZeroDivisionError,
+        # before the weight check.
+        (singular_local_factors, (2, 0, 3)),
+        (definite_local_factors, (3, 0, 0, 1, 5)),
+        (definite_local_factors, (2, 0, 0, 1, 2)),
+    ])
+    def test_bad_weight_rejected(self, call, args):
+        with pytest.raises(ValueError, match="^weight must be even and at least 4$"):
+            call(*args)
 
 
 class TestCoefficient:
@@ -241,7 +268,7 @@ class TestHecke:
         with pytest.raises(ValueError, match="prime"):
             raise_level(13440, 604800, 20818560, p, 4)
         with pytest.raises(ValueError, match="prime"):
-            LocalOrders(p, 0, 0, 1)
+            definite_local_factors(p, 0, 0, 1, 4)
 
     @pytest.mark.parametrize("level", [1, 3, 7])
     @pytest.mark.parametrize("p", [2, 3, 5])

@@ -110,15 +110,16 @@ def test_coefficient_suite_detects_a_dropped_p_power_term(monkeypatch):
 SMALL_CLASS = VerifyBounds(m_max=40)
 
 
+def _first_sum_only(p, chi, v, k):
+    # local_correction without its chi_D(p) p^(k-2) term.
+    return sum(p ** (j * (2 * k - 3)) for j in range(v + 1))
+
+
 def test_class_suite_detects_a_dropped_correction_term(monkeypatch):
     honest = verify.verify_class_identities(SMALL_CLASS)
     assert honest.ok
 
-    def first_sum_only(p, disc, v, k):
-        # local_correction without its chi_D(p) p^(k-2) term.
-        return Fraction(sum(p ** (j * (2 * k - 3)) for j in range(v + 1)))
-
-    monkeypatch.setattr(verify, "local_correction", first_sum_only)
+    monkeypatch.setattr(verify, "local_correction", _first_sum_only)
     report = verify.verify_class_identities(SMALL_CLASS)
     assert report.checks == honest.checks
     assert len(report.failures) == verify._FAILURE_LIMIT
@@ -135,3 +136,34 @@ def test_class_suite_detects_an_unrestricted_class_sum(monkeypatch):
     report = verify.verify_class_identities(SMALL_CLASS)
     assert report.checks == honest.checks
     assert len(report.failures) == verify._FAILURE_LIMIT
+
+
+def test_local_sums_suite_detects_a_wrong_definite_slot(monkeypatch):
+    honest = verify.verify_local_sums()
+    assert honest.ok and honest.checks == 780
+    real = verify.definite_local_factors
+
+    def off_by_one(p, u, v, chi, k):
+        slot0, slot1, slot2 = real(p, u, v, chi, k)
+        return (slot0, slot1 + 1 if chi == -1 else slot1, slot2)
+
+    monkeypatch.setattr(verify, "definite_local_factors", off_by_one)
+    report = verify.verify_local_sums()
+    assert report.checks == honest.checks
+    assert len(report.failures) == verify._FAILURE_LIMIT
+    assert all(m.startswith("definite sum fails at p=2 chi=-1 ") for m in report.failures)
+
+
+def test_local_sums_suite_detects_a_dropped_correction_term(monkeypatch):
+    honest = verify.verify_local_sums()
+    assert honest.ok
+
+    monkeypatch.setattr(verify, "local_correction", _first_sum_only)
+    report = verify.verify_local_sums()
+    assert report.checks == honest.checks
+    assert len(report.failures) == verify._FAILURE_LIMIT
+    # At v = 0 the correction is 1 either way; the recursion to v = 1 fails
+    # first, then every sum that reaches v >= 1.
+    assert report.failures[0] == "correction recursion fails at p=2 chi=-1 v=0 k=4"
+    assert report.failures[1] == "definite sum fails at p=2 chi=-1 u=0 v=1 k=4"
+    assert all(" p=2 chi=-1 " in m for m in report.failures)
