@@ -155,13 +155,15 @@ class TestLocalFactors:
         with pytest.raises(ValueError, match=f"^{message}$"):
             definite_local_factors(*orders, 4)
 
-    @pytest.mark.parametrize("p, u, message", [
-        (2, -2, "u must be non-negative, got -2"),
-        (4, 1, "p must be prime, got 4"),
+    @pytest.mark.parametrize("i, p, u, message", [
+        (0, 2, -2, "u must be non-negative, got -2"),
+        (1, 4, 1, "p must be prime, got 4"),
+        (2, 4, 1, "p must be prime, got 4"),
     ])
-    def test_bad_singular_arguments_rejected(self, p, u, message):
+    def test_bad_singular_arguments_rejected(self, i, p, u, message):
+        # Asking for any one slot is refused, slot 2 (which does not use p) included.
         with pytest.raises(ValueError, match=f"^{message}$"):
-            singular_local_factors(p, u, 4)
+            singular_local_factors(p, u, 4)[i]
 
     @pytest.mark.parametrize("call, args", [
         # These returned -1/7 and -1/19844, and raised ZeroDivisionError,
