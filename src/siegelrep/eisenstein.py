@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -64,7 +65,9 @@ class HalfIntegralMatrix:
     """Matrix ((m, r/2), (r/2, n)) stored as the integer triple (m, r, n).
 
     Construction enforces positive semidefiniteness; indefinite input is a
-    hard error, never coerced.
+    hard error, never coerced.  Entries must be integers in the sense of
+    operator.index (Python or numpy ints, not 1.0, Fraction(2) or "1"); they
+    are kept as Python ints.
     """
 
     m: int
@@ -72,6 +75,15 @@ class HalfIntegralMatrix:
     n: int
 
     def __post_init__(self) -> None:
+        m, r, n = self.m, self.r, self.n
+        if not (type(m) is int and type(r) is int and type(n) is int):
+            try:
+                m, r, n = operator.index(m), operator.index(r), operator.index(n)
+            except TypeError:
+                raise ValueError("matrix entries must be integers") from None
+            object.__setattr__(self, "m", m)
+            object.__setattr__(self, "r", r)
+            object.__setattr__(self, "n", n)
         if self.m < 0 or self.n < 0 or 4 * self.m * self.n - self.r * self.r < 0:
             raise ValueError("matrix must be positive semidefinite")
 

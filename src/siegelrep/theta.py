@@ -4,7 +4,12 @@ pair counting with prescribed Gram data.
 Enumeration is a breadth-first Fincke-Pohst search (Fincke & Pohst,
 Math. Comp. 44, 1985) on numpy arrays.  Each row of its frontier is one
 partial vector, held in two arrays: the remaining budget, and the coordinates
-with those not yet fixed at 0.  Its coordinate bounds come from the exact LDL'
+with those not yet fixed at 0.  Rows move by ndarray.take along axis 0, which
+copies each row as one chunk; indexing a 2-D array by an index array walks it
+element by element.  Whether a row's fixed coordinates are all 0 is read from
+its budget, not its coordinates: they have taken a positive definite form in
+themselves from the root's budget, so they are all 0 exactly when the budget
+is still the root's.  The coordinate bounds come from the exact LDL'
 decomposition that lattice.GramMatrix.ldl shares with the genus invariants,
 rescaled to integer arithmetic, so completeness never depends on floating
 point.  A row needs no other row to finish, so when the next level would hold
@@ -161,18 +166,20 @@ def _isqrt(values: np.ndarray) -> np.ndarray:
 
 
 def _bounds(budget: np.ndarray, coords: np.ndarray, level: int, dl: int, gl: int,
-            weights: list[int]) -> tuple[np.ndarray, ...]:
+            weights: list[int], budget0: int) -> tuple[np.ndarray, ...]:
     """The admissible values of coordinate `level` of each partial vector
     (budget, coords), whose centre weighs the fixed coordinates after `level`
     by `weights`: returns the centres c, the least values lo and the number
-    of values of each row."""
+    of values of each row.  budget0 is the budget of the search's root: a
+    row whose budget is still budget0 has every fixed coordinate 0, so its
+    coordinate `level` starts at 0."""
     c = np.zeros_like(budget)
     for w, xs in zip(weights, coords[:, level + 1:].T):
         if w:
             c += w * xs.astype(budget.dtype)
     r = _isqrt(budget // gl)
     lo = -((r + c) // dl)
-    lo[~coords.any(axis=1) & (lo < 0)] = 0
+    lo[(budget == budget0) & (lo < 0)] = 0
     hi = (r - c) // dl
     count = np.maximum(hi - lo + 1, 0).astype(np.int64)
     return c, lo, count
@@ -194,7 +201,7 @@ def _children(budget: np.ndarray, coords: np.ndarray, c: np.ndarray, lo: np.ndar
     t *= gl
     rest = budget[parent]
     rest -= t
-    sub = coords[parent]
+    sub = coords.take(parent, axis=0)
     sub[:, level] = x
     return rest, sub
 
@@ -270,7 +277,7 @@ def _enumerate(gram: GramMatrix, max_norm: int) -> dict[int, np.ndarray]:
         waiting = 0
         order = np.argsort(norms, kind="stable")
         norms = norms[order]
-        rows = coords[order]
+        rows = coords.take(order, axis=0)
         del coords, order
         starts = np.flatnonzero(np.concatenate(([True], norms[1:] != norms[:-1])))
         cuts = [*starts.tolist(), len(norms)]
@@ -287,7 +294,8 @@ def _enumerate(gram: GramMatrix, max_norm: int) -> dict[int, np.ndarray]:
             if waiting >= batch_rows:
                 file()
             return
-        c, lo, count = _bounds(budget, coords, level, den[level], quad[level], weights[level])
+        c, lo, count = _bounds(budget, coords, level, den[level], quad[level], weights[level],
+                               budget0)
         ends = np.cumsum(count)
         s = 0
         while s < len(count):

@@ -83,10 +83,12 @@ class _Tally:
         self.checks = 0
         self.failures: list[str] = []
 
-    def check(self, condition: bool, message: str) -> None:
+    def check(self, condition: bool, message: str, *args) -> None:
+        """Count one check; on failure keep message.format(*args), formatted
+        only then, while fewer than _FAILURE_LIMIT are kept."""
         self.checks += 1
         if not condition and len(self.failures) < _FAILURE_LIMIT:
-            self.failures.append(message)
+            self.failures.append(message.format(*args))
 
     def report(self) -> SuiteReport:
         return SuiteReport(self.name, self.checks, tuple(self.failures))
@@ -166,6 +168,7 @@ def verify_coefficient_identities(bounds: VerifyBounds = VerifyBounds()) -> Suit
     for k, p, spec, up_specs in _raised_series(_squarefree_up_to(bounds.level_max),
                                                _primes_up_to(bounds.prime_max),
                                                COEFFICIENT_WEIGHTS):
+        part = spec.partition.as_tuple()
         for t in mats:
             base = fourier_coefficient(spec, t)
             lifted = raise_level(base,
@@ -173,10 +176,11 @@ def verify_coefficient_identities(bounds: VerifyBounds = VerifyBounds()) -> Suit
                                  fourier_coefficient(spec, t.scaled(p * p)),
                                  p, k)
             direct = tuple(fourier_coefficient(s, t) for s in up_specs)
-            where = f"k={k} {spec.partition.as_tuple()} p={p} T=({t.m},{t.r},{t.n})"
-            tally.check(lifted == direct, f"level raise mismatch at {where}")
+            tally.check(lifted == direct, "level raise mismatch at k={} {} p={} T=({},{},{})",
+                        k, part, p, t.m, t.r, t.n)
             tally.check(sum(direct, Fraction(0)) == base,
-                        f"decomposition sum mismatch at {where}")
+                        "decomposition sum mismatch at k={} {} p={} T=({},{},{})",
+                        k, part, p, t.m, t.r, t.n)
     return tally.report()
 
 
@@ -223,18 +227,17 @@ def verify_class_identities(bounds: VerifyBounds = VerifyBounds()) -> SuiteRepor
                     disc, f = dec.disc, dec.conductor
                     raised = class_divisor_sum(level * p, k, disc, f)
                     corr = local_correction(p, kronecker_symbol(disc, p), valuation(p, f), k)
-                    here = f"N={level} p={p} k={k} M={m}"
                     tally.check(raised * corr == at_level[k, m],
-                                f"level correction fails at {here}")
+                                "level correction fails at N={} p={} k={} M={}", level, p, k, m)
                     # -p^2 M = D (p f)^2: the same L-value on both sides again.
                     tally.check(class_divisor_sum(level * p, k, disc, p * f) == raised,
-                                f"p^2 stability fails at {here}")
+                                "p^2 stability fails at N={} p={} k={} M={}", level, p, k, m)
     for k in CLASS_WEIGHTS:
         for m in range(1, max(bounds.m_max, 1000) + 1):
             if m % 4 in (1, 2):
                 continue
             tally.check(cohen_h_level(1, k, m) == _level_one_euler_product(k, m),
-                        f"level 1 disagrees with Euler product at k={k} M={m}")
+                        "level 1 disagrees with Euler product at k={} M={}", k, m)
     return tally.report()
 
 
@@ -250,20 +253,21 @@ def verify_local_sums() -> SuiteReport:
             for u in range(LOCAL_ORDER_MAX + 1):
                 want = sum(p ** (j * (k - 1)) for j in range(u + 1))
                 got = sum(singular_local_factors(p, u, k), Fraction(0))
-                tally.check(got == want, f"singular sum fails at p={p} u={u} k={k}")
+                tally.check(got == want, "singular sum fails at p={} u={} k={}", p, u, k)
             for chi in (-1, 0, 1):
                 for v in range(LOCAL_ORDER_MAX + 1):
                     for u in range(v + 1):
                         got = sum(definite_local_factors(p, u, v, chi, k), Fraction(0))
                         want = sum(p ** (j * (k - 1)) * local_correction(p, chi, v - j, k)
                                    for j in range(u + 1))
-                        tally.check(got == want,
-                                    f"definite sum fails at p={p} chi={chi} u={u} v={v} k={k}")
+                        tally.check(got == want, "definite sum fails at p={} chi={} u={} v={} k={}",
+                                    p, chi, u, v, k)
                     recur = (local_correction(p, chi, v, k)
                              + p ** ((v + 1) * (2 * k - 3))
                              - chi * p ** (k - 2) * p ** (v * (2 * k - 3)))
                     tally.check(local_correction(p, chi, v + 1, k) == recur,
-                                f"correction recursion fails at p={p} chi={chi} v={v} k={k}")
+                                "correction recursion fails at p={} chi={} v={} k={}",
+                                p, chi, v, k)
     return tally.report()
 
 
@@ -292,12 +296,12 @@ def verify_hecke(bounds: VerifyBounds = VerifyBounds()) -> SuiteReport:
              (0, pp * (p ** (2 * k - 2) + p), (p ** (k - 2) + 1) * (pp * p - p))),
             ("U1 rank2", hecke_u1p2, s2, (0, 0, pp * (p ** (2 * k - 2) + p ** (2 * k - 3)))),
         )
+        part = spec.partition.as_tuple()
         for t in mats:
-            where = f"k={k} {spec.partition.as_tuple()} p={p} T=({t.m},{t.r},{t.n})"
             got, base = hecke_tp(spec, p, t), fourier_coefficient(spec, t)
             tally.check(got.numerator * base.denominator
                         == eigen * base.numerator * got.denominator,
-                        f"eigenvalue fails at {where}")
+                        "eigenvalue fails at k={} {} p={} T=({},{},{})", k, part, p, t.m, t.r, t.n)
             f0, f1, f2 = (fourier_coefficient(s, t) for s in (s0, s1, s2))
             d = math.lcm(f0.denominator, f1.denominator, f2.denominator)
             n0, n1, n2 = (f.numerator * (d // f.denominator) for f in (f0, f1, f2))
@@ -305,7 +309,8 @@ def verify_hecke(bounds: VerifyBounds = VerifyBounds()) -> SuiteReport:
                 got = action(series, p, t)
                 want = c0 * n0 + c1 * n1 + c2 * n2
                 tally.check(got.numerator * pp * d == want * got.denominator,
-                            f"{label} fails at {where}")
+                            "{} fails at k={} {} p={} T=({},{},{})",
+                            label, k, part, p, t.m, t.r, t.n)
     return tally.report()
 
 
@@ -319,16 +324,16 @@ def verify_lattices(bounds: VerifyBounds = VerifyBounds()) -> SuiteReport:
     for name in BUILTIN_NAMES:
         gram = builtin_lattice(name)
         table = {part.as_tuple(): c for part, c in genus_coefficients(gram).items()}
-        tally.check(table == EXPECTED_GENUS_TABLES[name], f"genus table differs for {name}")
+        tally.check(table == EXPECTED_GENUS_TABLES[name], "genus table differs for {}", name)
         shells(gram, max_norm)
         for t in mats:
             formula = genus_rep_number(gram, t)
             count = rep_deg2(gram, t)
-            where = f"{name} T=({t.m},{t.r},{t.n})"
-            tally.check(formula == count,
-                        f"formula {formula} != count {count} at {where}")
+            tally.check(formula == count, "formula {} != count {} at {} T=({},{},{})",
+                        formula, count, name, t.m, t.r, t.n)
             tally.check(formula.denominator == 1 and formula >= 0,
-                        f"non-integral or negative value {formula} at {where}")
+                        "non-integral or negative value {} at {} T=({},{},{})",
+                        formula, name, t.m, t.r, t.n)
     return tally.report()
 
 

@@ -1,6 +1,7 @@
 import hashlib
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -77,6 +78,20 @@ class TestTypes:
     def test_indefinite_rejected(self, triple):
         with pytest.raises(ValueError):
             HalfIntegralMatrix(*triple)
+
+    @pytest.mark.parametrize("triple", [(1, 0.5, 1), (1, 1.0, 1), (0.5, 0, 0),
+                                        (Fraction(2), 0, 0), (1, 0, "1")],
+                             ids=["r=0.5", "r=1.0", "m=0.5", "m=Fraction(2)", "n=str"])
+    def test_non_integral_entries_refused(self, triple):
+        # r = 0.5 and 1.0 pass the semidefinite test, and 1.0 == 1, so only
+        # the integer check refuses them.
+        with pytest.raises(ValueError, match="entries must be integers"):
+            HalfIntegralMatrix(*triple)
+
+    def test_numpy_int_entries(self):
+        t = HalfIntegralMatrix(np.int64(2), np.int8(1), np.int64(3))
+        assert t == HalfIntegralMatrix(2, 1, 3) and hash(t) == hash(HalfIntegralMatrix(2, 1, 3))
+        assert all(type(v) is int for v in (t.m, t.r, t.n))
 
     def test_partition_validation(self):
         with pytest.raises(ValueError):

@@ -624,6 +624,52 @@ class TestChunkedSearch:
         assert_same_halves(theta._enumerate(gram, 200_000), want)
 
 
+class TestZeroTail:
+    """_bounds reads the rows whose fixed coordinates are all 0 as those whose
+    budget is still the root's, budget0: the fixed coordinates have taken a
+    positive definite form in themselves from it.  A spy checks the rule
+    against the coordinates at every call."""
+
+    @staticmethod
+    def spied_search(gram, max_norm):
+        """The budget dtypes and the rows that _bounds saw, by whether their
+        fixed coordinates are all 0, in one search."""
+        seen = {"dtypes": set(), "zero": 0, "nonzero": 0}
+        bounds = theta._bounds
+
+        def spy(budget, coords, level, dl, gl, weights, budget0):
+            zero = ~coords.any(axis=1)
+            assert np.array_equal(budget == budget0, zero)
+            seen["dtypes"].add(budget.dtype)
+            seen["zero"] += int(zero.sum())
+            seen["nonzero"] += int((~zero).sum())
+            return bounds(budget, coords, level, dl, gl, weights, budget0)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(theta, "_bounds", spy)
+            theta._enumerate(gram, max_norm)
+        return seen
+
+    @pytest.mark.parametrize("name", BUILTINS)
+    def test_builtins(self, name):
+        seen = self.spied_search(builtin_lattice(name), 10)
+        # One row per level whose fixed coordinates are all 0.
+        assert seen["zero"] == builtin_lattice(name).size
+        assert seen["nonzero"] > 0
+
+    @given(even_grams())
+    @settings(max_examples=40, deadline=None)
+    def test_random_even_grams(self, gram):
+        assert self.spied_search(gram, 8)["zero"] == gram.size
+
+    def test_object_budgets(self):
+        # Norms past 2^63 put the budgets in Python ints.
+        gram = GramMatrix.from_rows([[2 ** 61, 0], [0, 2 ** 61 + 2]])
+        seen = self.spied_search(gram, 2 ** 64)
+        assert seen["dtypes"] == {np.dtype(object)}
+        assert seen["zero"] == 2 and seen["nonzero"] > 0
+
+
 class TestVectorGuard:
     def test_refused_within_the_guard(self, monkeypatch):
         # S1 to norm 32 holds 4,845,120 vectors.  The halves filed before the
