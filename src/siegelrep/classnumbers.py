@@ -4,8 +4,10 @@ correction factors that relate one level to the next.
 cohen_h_level(N, k, M) restricts both divisor variables of the classical sum
 to integers coprime to N; level 1 recovers the plain value.  For
 -M = D f**2 it is L(2 - k, chi_D) times the integer class_divisor_sum(N, k,
-D, f), which the coefficient engine and the class-sum checks use
-directly.  Multiplying the level Np sum by the integer local_correction(p,
+D, f), which the coefficient engine and the class-sum checks use directly.
+That integer sees the level only through gcd(N, f) and is cached under it,
+so each value is computed once for every level that shares those primes
+with f.  Multiplying the level Np sum by the integer local_correction(p,
 chi_D(p), ord_p(f), k) recovers the level N sum, which is the identity the
 verification suites exercise.
 """
@@ -18,6 +20,7 @@ from math import gcd
 from .exactmath import (
     decompose_discriminant,
     divisors,
+    is_fundamental_discriminant,
     is_squarefree,
     kronecker_symbol,
     l_negative,
@@ -34,19 +37,29 @@ def class_divisor_sum(level: int, k: int, disc: int, conductor: int) -> int:
         sum over g | conductor coprime to level of
             mu(g) chi_disc(g) g^(k-2) sum_{h | conductor/g, (h, level) = 1} h^(2k-3)
 
-    disc must be a fundamental discriminant; the full sum is this times
-    L(2 - k, chi_disc).  Not cached itself: cohen_h_level and the coefficient
-    engine cache their results, and the class-sum suite of verify, which
-    compares these integers directly, keeps each level's values for the
-    length of one level.
+    disc must be a fundamental discriminant and the conductor positive; the
+    full sum is this times L(2 - k, chi_disc).  A divisor of the conductor
+    shares a prime with the level exactly when it shares one with
+    gcd(level, conductor), so the value is cached under that gcd and every
+    level with the same primes in the conductor reads the same entry.
     """
     if level < 1 or not is_squarefree(level):
         raise ValueError("level must be a squarefree positive integer")
     if k < 4 or k % 2:
         raise ValueError("weight must be even and at least 4")
+    return _class_divisor_sum(gcd(level, conductor), k, disc, conductor)
+
+
+@memo
+def _class_divisor_sum(shared: int, k: int, disc: int, conductor: int) -> int:
+    """class_divisor_sum with the level reduced to its gcd with the conductor."""
+    if conductor < 1:
+        raise ValueError(f"conductor must be positive, got {conductor}")
+    if not is_fundamental_discriminant(disc):
+        raise ValueError(f"disc must be a fundamental discriminant, got {disc}")
     acc = 0
     for g in divisors(conductor):
-        if gcd(g, level) > 1:
+        if gcd(g, shared) > 1:
             continue
         mu = moebius(g)
         if mu == 0:
@@ -54,7 +67,7 @@ def class_divisor_sum(level: int, k: int, disc: int, conductor: int) -> int:
         chi = kronecker_symbol(disc, g)
         if chi == 0:
             continue
-        inner = sum(h ** (2 * k - 3) for h in divisors(conductor // g) if gcd(h, level) == 1)
+        inner = sum(h ** (2 * k - 3) for h in divisors(conductor // g) if gcd(h, shared) == 1)
         acc += mu * chi * g ** (k - 2) * inner
     return acc
 

@@ -32,12 +32,13 @@ from fractions import Fraction
 
 from .classnumbers import class_divisor_sum
 from .exactmath import (
+    bernoulli,
     decompose_discriminant,
     divisors,
+    generalized_bernoulli,
     is_prime,
     is_squarefree,
     kronecker_symbol,
-    l_negative,
     memo,
     prime_divisors,
     valuation,
@@ -243,7 +244,11 @@ def _level_terms(level: int, k: int, delta: int, content: int) -> tuple[tuple, i
     sum over divisors d of the content coprime to the level.  For definite
     matrices it is 2 L(2 - k, chi_D) / (zeta(1 - k) zeta(3 - 2k)) times the
     integer class-number divisor sum over the same d: every -delta / d^2 has
-    the same fundamental discriminant D, so the L-value factors out.
+    the same fundamental discriminant D, so the L-value factors out.  With
+    L(2 - k, chi_D) = -B_(k-1, chi) / (k - 1) and zeta(1 - j) = -B_j / j the
+    constant is -4k B_(k-1, chi) / (B_k B_(2k-2)), taken as one integer
+    numerator and denominator, not reduced; fourier_coefficient's Fraction
+    reduces the value.
     """
     coprime = [d for d in divisors(content) if math.gcd(d, level) == 1]
     if delta == 0:
@@ -258,8 +263,9 @@ def _level_terms(level: int, k: int, delta: int, content: int) -> tuple[tuple, i
                   for p in prime_divisors(level))
     class_sum = sum(d ** (k - 1) * class_divisor_sum(level, k, disc, conductor // d)
                     for d in coprime)
-    const = 2 * l_negative(k - 1, disc) / (zeta_negative(k) * zeta_negative(2 * k - 2))
-    return local, class_sum * const.numerator, const.denominator
+    gen, b_k, b_2k = generalized_bernoulli(k - 1, disc), bernoulli(k), bernoulli(2 * k - 2)
+    num = -4 * k * gen.numerator * b_k.denominator * b_2k.denominator
+    return local, class_sum * num, gen.denominator * b_k.numerator * b_2k.numerator
 
 
 def _require_prime(p: int) -> None:

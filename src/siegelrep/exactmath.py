@@ -2,10 +2,12 @@
 
 Scalars are plain ints and fractions.Fraction (always in lowest terms with a
 positive denominator, so equality is bit-exact); nothing in this module ever
-touches floating point.  The only array is a table of character values in
-{-1, 0, 1}.  All functions are pure.  The package's one cache policy lives
-here: `memo` is functools.cache (unbounded, thread-safe) plus registration,
-and clear_caches() empties every registered table.
+touches floating point.  The arrays are a table of character values in
+{-1, 0, 1} and the int64 powers of generalized_bernoulli's power sums, used
+only under a bound, checked at run time, that rules out overflow.  All
+functions are pure.  The package's one cache policy lives here: `memo` is
+functools.cache (unbounded, thread-safe) plus registration, and
+clear_caches() empties every registered table.
 """
 
 from __future__ import annotations
@@ -309,7 +311,10 @@ def generalized_bernoulli(n: int, disc: int) -> Fraction:
     Expanding B_n(x) = sum_j binom(n, j) B_j x^(n-j) gives
     sum_j binom(n, j) B_j |D|^(j-1) S_(n-j) with the integer power sums
     S_e = sum_a chi(a) a^e, so the residues only ever meet ints and there is
-    one Fraction per j.
+    one Fraction per j.  The powers a^e for e <= n + 1 and the partial sums
+    of every S_e with e <= n are at most q^(n+1) in absolute value, so when
+    q^(n+1) < 2^63 the sums are int64 dot products; otherwise they are
+    summed as Python ints.
     """
     if n < 1:
         raise ValueError("generalized_bernoulli needs n >= 1")
@@ -317,11 +322,19 @@ def generalized_bernoulli(n: int, disc: int) -> Fraction:
         raise ValueError(f"{disc} is not a fundamental discriminant")
     q = abs(disc)
     chi = _character_table(disc)
-    residues = np.arange(1, q + 1)
-    plus = residues[chi == 1].tolist()
-    minus = residues[chi == -1].tolist()
-    sums = [sum(map(pow, plus, repeat(e))) - sum(map(pow, minus, repeat(e)))
-            for e in range(n + 1)]
+    residues = np.arange(1, q + 1, dtype=np.int64)
+    if q ** (n + 1) < 1 << 63:
+        chi = chi.astype(np.int64)
+        power = np.ones(q, dtype=np.int64)
+        sums = []
+        for _ in range(n + 1):
+            sums.append(int(chi @ power))
+            power *= residues
+    else:
+        plus = residues[chi == 1].tolist()
+        minus = residues[chi == -1].tolist()
+        sums = [sum(map(pow, plus, repeat(e))) - sum(map(pow, minus, repeat(e)))
+                for e in range(n + 1)]
     acc = Fraction(sums[n], q)
     for j in range(1, n + 1):
         acc += math.comb(n, j) * bernoulli(j) * q ** (j - 1) * sums[n - j]

@@ -178,7 +178,10 @@ def verify_coefficient_identities(bounds: VerifyBounds = VerifyBounds()) -> Suit
             direct = tuple(fourier_coefficient(s, t) for s in up_specs)
             tally.check(lifted == direct, "level raise mismatch at k={} {} p={} T=({},{},{})",
                         k, part, p, t.m, t.r, t.n)
-            tally.check(sum(direct, Fraction(0)) == base,
+            # sum(direct) == base over the lcm d of the direct denominators.
+            d = math.lcm(*(f.denominator for f in direct))
+            total = sum(f.numerator * (d // f.denominator) for f in direct)
+            tally.check(total * base.denominator == base.numerator * d,
                         "decomposition sum mismatch at k={} {} p={} T=({},{},{})",
                         k, part, p, t.m, t.r, t.n)
     return tally.report()

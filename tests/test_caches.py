@@ -51,10 +51,10 @@ def sample_values():
 
 def test_every_cache_is_registered():
     tables = memo_tables()
-    assert len(tables) == 11
+    assert len(tables) == 12
     assert all(table.cache_clear in CLEARERS for table in tables)
-    # the 11 memo tables plus theta's shell store
-    assert len(CLEARERS) == 12
+    # the 12 memo tables plus theta's shell store
+    assert len(CLEARERS) == 13
 
 
 def test_only_exactmath_imports_functools_caching():

@@ -73,6 +73,51 @@ def test_l_value_times_integer_sum(level, k):
         assert cohen_h_level(level, k, m) == l_negative(k - 1, dec.disc) * want, m
 
 
+SQUAREFREE_30 = [n for n in range(1, 31) if all(n % (p * p) for p in (2, 3, 5))]
+
+
+@pytest.mark.parametrize("level", SQUAREFREE_30)
+def test_level_enters_only_through_its_gcd_with_the_conductor(level):
+    for k in (4, 6, 8):
+        for m in range(3, 401):
+            if m % 4 in (1, 2):
+                continue
+            dec = decompose_discriminant(m)
+            disc, f = dec.disc, dec.conductor
+            got = class_divisor_sum(level, k, disc, f)
+            assert got == divisor_sum_reference(level, k, m), (k, m)
+            assert got == class_divisor_sum(gcd(level, f), k, disc, f), (k, m)
+
+
+def test_levels_with_the_same_gcd_share_one_entry():
+    clear_caches()
+    table = classnumbers._class_divisor_sum
+    # -75 = -3 * 5^2: the conductor 5 is prime to 6.
+    class_divisor_sum(6, 4, -3, 5)
+    class_divisor_sum(1, 4, -3, 5)
+    assert table.cache_info().misses == 1
+    # -12 = -3 * 2^2: gcd(6, 2) = 2 and gcd(1, 2) = 1 are two entries.
+    class_divisor_sum(6, 4, -3, 2)
+    class_divisor_sum(1, 4, -3, 2)
+    assert table.cache_info().misses == 3
+
+
+@pytest.mark.parametrize("args, message", [
+    # -12 = 4 * -3 is a discriminant but not a fundamental one; it returned 33.
+    ((1, 4, -12, 2), "disc must be a fundamental discriminant, got -12"),
+    ((1, 4, 0, 1), "disc must be a fundamental discriminant, got 0"),
+    ((1, 4, -1, 1), "disc must be a fundamental discriminant, got -1"),
+    # These failed inside factorize, with "factorize needs n >= 1".
+    ((1, 4, -3, 0), "conductor must be positive, got 0"),
+    ((6, 4, -3, -2), "conductor must be positive, got -2"),
+    ((4, 4, -3, 1), "level must be a squarefree positive integer"),
+    ((1, 5, -3, 1), "weight must be even and at least 4"),
+])
+def test_class_divisor_sum_refuses_broken_preconditions(args, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        class_divisor_sum(*args)
+
+
 class TestLocalCorrection:
     def test_order_zero_is_one(self):
         for p, disc, k in [(2, -3, 4), (3, -4, 6), (5, -7, 4)]:

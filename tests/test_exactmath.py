@@ -146,6 +146,19 @@ class TestLValues:
         for d in FUNDAMENTAL_300:
             assert xm.generalized_bernoulli(n, d) == generalized_bernoulli_by_residues(n, d), d
 
+    @pytest.mark.parametrize("n, int64_side, python_side", [
+        (5, (1448, -1448), (-1451,)),
+        # S_7 at D = -359 exceeds 2^63: int64 sums would wrap there.
+        (7, (233,), (-235, -359)),
+        (3, (-55108,), (55109,)),
+    ])
+    def test_power_sums_on_both_sides_of_the_int64_bound(self, n, int64_side, python_side):
+        # The power sums are int64 exactly when |D|^(n+1) < 2^63.
+        for d in int64_side + python_side:
+            assert xm.is_fundamental_discriminant(d)
+            assert (abs(d) ** (n + 1) < 2**63) == (d in int64_side)
+            assert xm.generalized_bernoulli(n, d) == generalized_bernoulli_by_residues(n, d), d
+
     def test_l_values(self):
         assert xm.l_negative(3, -3) == Fraction(-2, 9)
         assert xm.l_negative(3, -4) == Fraction(-1, 2)

@@ -106,6 +106,26 @@ def test_coefficient_suite_detects_a_dropped_p_power_term(monkeypatch):
     assert all(m.startswith("level raise mismatch at k=") for m in report.failures)
 
 
+def test_coefficient_suite_detects_a_wrong_decomposition(monkeypatch):
+    honest = verify.verify_coefficient_identities(SMALL)
+    assert honest.ok
+    real = verify.fourier_coefficient
+
+    def perturbed(spec, t):
+        # Every value of the level 1 series moves by 1/7; the level 2 and 3
+        # series that decompose it do not.
+        value = real(spec, t)
+        return value + Fraction(1, 7) if spec.partition.level == 1 else value
+
+    monkeypatch.setattr(verify, "fourier_coefficient", perturbed)
+    report = verify.verify_coefficient_identities(SMALL)
+    assert report.checks == honest.checks
+    assert len(report.failures) == verify._FAILURE_LIMIT
+    assert any(m.startswith("decomposition sum mismatch at k=") for m in report.failures)
+    assert all(m.startswith(("decomposition sum mismatch at k=", "level raise mismatch at k="))
+               for m in report.failures)
+
+
 # Reduced bounds for the class-sum suite.
 SMALL_CLASS = VerifyBounds(m_max=40)
 
