@@ -26,6 +26,9 @@ from .exactmath import (
     l_negative,
     memo,
     moebius,
+    require_chi,
+    require_prime,
+    require_weight,
 )
 
 __all__ = ["cohen_h_level", "class_divisor_sum", "local_correction"]
@@ -45,8 +48,7 @@ def class_divisor_sum(level: int, k: int, disc: int, conductor: int) -> int:
     """
     if level < 1 or not is_squarefree(level):
         raise ValueError("level must be a squarefree positive integer")
-    if k < 4 or k % 2:
-        raise ValueError("weight must be even and at least 4")
+    require_weight(k)
     return _class_divisor_sum(gcd(level, conductor), k, disc, conductor)
 
 
@@ -93,13 +95,12 @@ def local_correction(p: int, chi: int, v: int, k: int) -> int:
 
         sum_{j<=v} p^(j(2k-3)) - chi p^(k-2) sum_{j<=v-1} p^(j(2k-3))
 
-    with empty sums equal to 0.  Negative v, a chi outside -1, 0, 1 and a
-    weight that is odd or below 4 are rejected.
+    with empty sums equal to 0.  A p that is not prime, negative v, a chi
+    outside -1, 0, 1 and a weight that is odd or below 4 are rejected.
     """
-    if k < 4 or k % 2:
-        raise ValueError("weight must be even and at least 4")
-    if chi not in (-1, 0, 1):
-        raise ValueError(f"chi must be -1, 0 or 1, got {chi}")
+    require_prime(p)
+    require_weight(k)
+    require_chi(chi)
     if v < 0:
         raise ValueError("order must be non-negative")
     first = sum(p ** (j * (2 * k - 3)) for j in range(v + 1))

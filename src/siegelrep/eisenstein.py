@@ -36,11 +36,13 @@ from .exactmath import (
     decompose_discriminant,
     divisors,
     generalized_bernoulli,
-    is_prime,
     is_squarefree,
     kronecker_symbol,
     memo,
     prime_divisors,
+    require_chi,
+    require_prime,
+    require_weight,
     valuation,
     zeta_negative,
 )
@@ -150,7 +152,7 @@ class EisensteinSpec:
     partition: LevelPartition
 
     def __post_init__(self) -> None:
-        _require_weight(self.k)
+        require_weight(self.k)
 
 
 def partitions_of_level(level: int) -> tuple[LevelPartition, ...]:
@@ -170,9 +172,9 @@ def partitions_of_level(level: int) -> tuple[LevelPartition, ...]:
 def singular_local_factors(p: int, u: int, k: int) -> tuple[Fraction, Fraction, Fraction]:
     """Factors at p for rank 1 coefficients in slots 0, 1 and 2 of the
     partition; u is the order of p in the content."""
-    _require_prime(p)
+    require_prime(p)
     _require_order("u", u)
-    _require_weight(k)
+    require_weight(k)
     x = p ** (k - 1)
     high = x ** (u + 1)
     slot1 = Fraction(high * p, p**k - 1)
@@ -185,14 +187,13 @@ def definite_local_factors(p: int, u: int, v: int, chi: int,
     """Factors at p for definite coefficients in slots 0, 1 and 2 of the
     partition.  u and v are the orders of p in the content and in the
     conductor, so u <= v; chi is the character value at p."""
-    _require_prime(p)
+    require_prime(p)
     _require_order("u", u)
     _require_order("v", v)
     if u > v:
         raise ValueError(f"u must be at most v, got u={u} v={v}")
-    if chi not in (-1, 0, 1):
-        raise ValueError(f"chi must be -1, 0 or 1, got {chi}")
-    _require_weight(k)
+    require_chi(chi)
+    require_weight(k)
     y = 2 * k - 3
     a = p**y - chi * p ** (k - 2)
     b = chi * p ** (k - 2) - 1
@@ -268,19 +269,9 @@ def _level_terms(level: int, k: int, delta: int, content: int) -> tuple[tuple, i
     return local, class_sum * num, gen.denominator * b_k.numerator * b_2k.numerator
 
 
-def _require_prime(p: int) -> None:
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
-
-
 def _require_order(name: str, value: int) -> None:
     if value < 0:
         raise ValueError(f"{name} must be non-negative, got {value}")
-
-
-def _require_weight(k: int) -> None:
-    if k < 4 or k % 2:
-        raise ValueError("weight must be even and at least 4")
 
 
 def raise_level(a_t: Fraction | int, a_pt: Fraction | int, a_p2t: Fraction | int,
@@ -291,8 +282,8 @@ def raise_level(a_t: Fraction | int, a_pt: Fraction | int, a_p2t: Fraction | int
     The three outputs always sum back to a(T).  p must be prime, and k even
     and at least 4, as for a basis series.
     """
-    _require_prime(p)
-    _require_weight(k)
+    require_prime(p)
+    require_weight(k)
     # The inputs over one denominator d, and every combination multiplied
     # through by q = p^(k-4), which turns the p^(4-k) terms into the plain
     # differences of t, pt and p2t below.
@@ -317,7 +308,7 @@ def raise_level(a_t: Fraction | int, a_pt: Fraction | int, a_p2t: Fraction | int
 
 
 def _require_prime_divides(spec: EisensteinSpec, p: int, should_divide: bool) -> None:
-    _require_prime(p)
+    require_prime(p)
     divides = spec.partition.level % p == 0
     if divides != should_divide:
         verb = "must" if should_divide else "must not"

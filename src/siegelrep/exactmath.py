@@ -242,6 +242,22 @@ def is_prime(n: int) -> bool:
     return _is_strong_probable_prime(n)
 
 
+# The argument checks that classnumbers and eisenstein share.
+def require_prime(p: int) -> None:
+    if not is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
+
+
+def require_weight(k: int) -> None:
+    if k < 4 or k % 2:
+        raise ValueError("weight must be even and at least 4")
+
+
+def require_chi(chi: int) -> None:
+    if chi not in (-1, 0, 1):
+        raise ValueError(f"chi must be -1, 0 or 1, got {chi}")
+
+
 @memo
 def decompose_discriminant(delta: int) -> FundamentalDecomposition:
     """Split -delta into D * f**2 with D a fundamental discriminant.

@@ -12,12 +12,11 @@ themselves from the root's budget, so they are all 0 exactly when the budget
 is still the root's.  The coordinate bounds come from the exact LDL'
 decomposition that lattice.GramMatrix.ldl shares with the genus invariants,
 rescaled to integer arithmetic, so completeness never depends on floating
-point.  A row needs no other row to finish, so when the next level would hold
-more than _CHUNK rows the frontier is split into contiguous row ranges, each
-taken down to its leaves before the next starts; a row with more than _CHUNK
-children goes down in windows of at most _CHUNK of its values.  The search
-then peaks near the store it leaves instead of at its int64 leaf frontier,
-whatever the width of a row.
+point.  A row needs no other row to finish, so the children of a level are
+numbered in row order, each row's in the order of their values, and built
+at most _CHUNK at a time; each window of children goes down to its leaves
+before the next is built.  The search then peaks near the store it leaves
+instead of at its int64 leaf frontier, whatever the width of a row.
 
 Two guards bound the work, each raising VectorGuardError: a search past
 VECTOR_GUARD vectors is refused before its leaves are allocated, a pair
@@ -83,12 +82,12 @@ _BLOCK = 250_000
 _PACK_MAX = 4
 _PACK_BINS = 2 ** 16
 
-# Frontier rows per range of the search: when the next level would have more,
-# its parents are split into contiguous ranges that each go down to the
-# leaves on their own (see _enumerate).
+# Frontier rows per window of the search: a level's children are built at
+# most _CHUNK at a time, and each window goes down to the leaves before the
+# next is built (see _enumerate).
 _CHUNK = 2 ** 14
 
-# Leaves are filed by norm in batches of whole ranges, at least _CHUNK rows
+# Leaves are filed by norm in batches of whole windows, at least _CHUNK rows
 # and at least _PIECE_ROWS rows per norm that a batch may hold.  Each piece
 # a batch files costs microseconds of Python, so a form with few vectors
 # per norm (rank 2 at norms of 10^6, say) files in few large batches.
@@ -100,8 +99,9 @@ _PIECE_ROWS = 16
 VECTOR_GUARD = 2 ** 25
 
 # A pair histogram refuses to compute more half-shell products than this:
-# at about 1.3 ns each, some 45 s.  S1 at norms 8 x 8 (3.8 * 10^7 products)
-# runs, S1 at norms 32 x 32 (1.6 * 10^11) is refused.
+# at 0.11-0.16 ns each on the built-ins and about 0.46 ns on D16+, some 4 to
+# 16 s.  S1 at norms 8 x 8 (3.8 * 10^7 products) runs, S1 at norms 32 x 32
+# (1.6 * 10^11) is refused.
 PAIR_GUARD = 2 ** 35
 
 
@@ -170,9 +170,9 @@ def _bounds(budget: np.ndarray, coords: np.ndarray, level: int, dl: int, gl: int
     """The admissible values of coordinate `level` of each partial vector
     (budget, coords), whose centre weighs the fixed coordinates after `level`
     by `weights`: returns the centres c, the least values lo and the number
-    of values of each row.  budget0 is the budget of the search's root: a
-    row whose budget is still budget0 has every fixed coordinate 0, so its
-    coordinate `level` starts at 0."""
+    of values of each row, which is its number of children.  budget0 is the
+    budget of the search's root: a row whose budget is still budget0 has
+    every fixed coordinate 0, so its coordinate `level` starts at 0."""
     c = np.zeros_like(budget)
     for w, xs in zip(weights, coords[:, level + 1:].T):
         if w:
@@ -186,15 +186,20 @@ def _bounds(budget: np.ndarray, coords: np.ndarray, level: int, dl: int, gl: int
 
 
 def _children(budget: np.ndarray, coords: np.ndarray, c: np.ndarray, lo: np.ndarray,
-              count: np.ndarray, level: int, dl: int, gl: int) -> tuple[np.ndarray, ...]:
-    """The next frontier (budget, coords) from the rows' _bounds: each row's
-    children in the order of their values, the rows in order.  The
-    temporaries are freed on return, before the next level allocates."""
-    parent = np.repeat(np.arange(len(count)), count)
+              count: np.ndarray, ends: np.ndarray, a: int, b: int, level: int, dl: int,
+              gl: int) -> tuple[np.ndarray, ...]:
+    """Children a..b-1 of the frontier (budget, coords), given the rows'
+    _bounds and ends = cumsum(count): a level's children are numbered in row
+    order, each row's in the order of their values.  The temporaries are
+    freed on return, before the next level allocates."""
+    s = int(np.searchsorted(ends, a, side="right"))
+    e = int(np.searchsorted(ends, b)) + 1
+    first = ends[s:e] - count[s:e]  # the number of each row's first child
+    parent = np.repeat(np.arange(s, e), np.minimum(ends[s:e], b) - np.maximum(first, a))
     # The next frontier's arrays dominate the peak memory of the search, so
     # they are built in place.
-    x = (lo - (np.cumsum(count) - count))[parent]
-    x += np.arange(len(parent))
+    x = (lo[s:e] - first)[parent - s]
+    x += np.arange(a, b)
     t = x * dl
     t += c[parent]
     t *= t
@@ -220,16 +225,16 @@ def _enumerate(gram: GramMatrix, max_norm: int) -> dict[int, np.ndarray]:
     the coordinates after it are all zero, a coordinate starts at 0, so only
     one of x, -x is produced.
 
-    When a level's children would pass _CHUNK rows, its rows are split into
-    contiguous ranges whose children stay within _CHUNK (a row with more
-    children is a range alone, taken in windows of _CHUNK of its values),
-    and each range goes down to its leaves on its own, reusing the level's
-    bounds.  The leaves of consecutive ranges are filed in batches (see
-    _PIECE_ROWS): sorted by norm (stably), with only their half-shell rows
-    kept, norm by norm.  Every leaf of one range precedes every leaf of the
-    next, in the order of a search over the whole frontier, so the rows of
-    each norm, concatenated in batch order, are that search's stable sort:
-    the same arrays, byte for byte, for every _CHUNK and _PIECE_ROWS.
+    A level's children are numbered in row order, each row's in the order
+    of their values, and built in windows of at most _CHUNK (see _children),
+    each going down to its leaves before the next is built.  A window may
+    take part of one row's children or those of many rows.  The leaves of
+    consecutive windows are filed in batches (see _PIECE_ROWS): sorted by
+    norm (stably), with only their half-shell rows kept, norm by norm.
+    Every leaf of one window precedes every leaf of the next, in the order
+    of a search over the whole frontier, so the rows of each norm,
+    concatenated in batch order, are that search's stable sort: the same
+    arrays, byte for byte, for every _CHUNK and _PIECE_ROWS.
 
     Raises VectorGuardError when the leaves, each but the zero vector
     standing for x and -x, would pass VECTOR_GUARD vectors.  The count of
@@ -241,7 +246,7 @@ def _enumerate(gram: GramMatrix, max_norm: int) -> dict[int, np.ndarray]:
     n = gram.size
     diag, low = gram.ldl()
     den = [lcm(*(low[j][i].denominator for j in range(i + 1, n))) for i in range(n)]
-    col = [[int(low[level][i] * den[i]) for i in range(level)] for level in range(n)]
+    weights = [[int(low[j][i] * den[i]) for j in range(i + 1, n)] for i in range(n)]
     scale = lcm(*((d / e ** 2).denominator for d, e in zip(diag, den)))
     quad = [int(d * scale / e ** 2) for d, e in zip(diag, den)]
     budget0 = scale * max_norm
@@ -251,15 +256,14 @@ def _enumerate(gram: GramMatrix, max_norm: int) -> dict[int, np.ndarray]:
     root = [isqrt(budget0 // q) for q in quad]
     span, reach = [0] * n, [0] * n
     for level in range(n - 1, -1, -1):
-        reach[level] = sum(abs(col[j][level]) * span[j] for j in range(level + 1, n))
+        reach[level] = sum(abs(w) * x for w, x in zip(weights[level], span[level + 1:]))
         span[level] = (root[level] + reach[level]) // den[level]
     peak = max(budget0 + 2 * isqrt(budget0) + 1, *quad, *den,
-               *(abs(v) for row in col for v in row),
+               *(abs(v) for row in weights for v in row),
                *(den[i] * span[i] + reach[i] + root[i] for i in range(n)))
     # The narrowest dtype that holds |x| <= span.  VectorShell.vectors is
     # int64, so a coordinate beyond int64 raises OverflowError when set.
     half_dtype = np.min_scalar_type(-max(span) - 1)
-    weights = [[col[j][level] for j in range(level + 1, n)] for level in range(n)]
     key_dtype = np.min_scalar_type(max_norm)
     # A batch holds at most max_norm norms besides the zero vector.
     batch_rows = max(_CHUNK, _PIECE_ROWS * max_norm)
@@ -297,28 +301,16 @@ def _enumerate(gram: GramMatrix, max_norm: int) -> dict[int, np.ndarray]:
         c, lo, count = _bounds(budget, coords, level, den[level], quad[level], weights[level],
                                budget0)
         ends = np.cumsum(count)
-        s = 0
-        while s < len(count):
-            # Rows s..e-1: as many as keep their children within _CHUNK, and
-            # at least one.
-            base = int(ends[s - 1]) if s else 0
-            e = max(s + 1, int(np.searchsorted(ends, base + _CHUNK, side="right")))
-            size = int(ends[e - 1]) - base
-            # A row with more than _CHUNK children goes down alone, in windows
-            # of `part` values from lo + j; any other range, whose counts are
-            # all within `part`, in one.  Rows may have no children, so a
-            # range may have none either.
-            for j in range(0, size, _CHUNK):
-                part = min(size - j, _CHUNK)
-                # Each leaf but the zero vector stands for x and -x.
-                if level == 0 and 2 * (done + part - 1) > VECTOR_GUARD:
-                    raise VectorGuardError(
-                        f"refusing to enumerate more than VECTOR_GUARD = {VECTOR_GUARD:,} "
-                        f"vectors: the shells up to norm {max_norm} hold more")
-                descend(*_children(budget[s:e], coords[s:e], c[s:e], lo[s:e] + j,
-                                   np.minimum(count[s:e], part), level, den[level],
-                                   quad[level]), level - 1)
-            s = e
+        total = int(ends[-1])
+        for a in range(0, total, _CHUNK):
+            b = min(a + _CHUNK, total)
+            # Each leaf but the zero vector stands for x and -x.
+            if level == 0 and 2 * (done + b - a - 1) > VECTOR_GUARD:
+                raise VectorGuardError(
+                    f"refusing to enumerate more than VECTOR_GUARD = {VECTOR_GUARD:,} "
+                    f"vectors: the shells up to norm {max_norm} hold more")
+            descend(*_children(budget, coords, c, lo, count, ends, a, b, level, den[level],
+                               quad[level]), level - 1)
 
     descend(np.array([budget0], dtype=_exact_dtype(peak)),
             np.zeros((1, n), dtype=np.int64 if half_dtype == object else half_dtype), n - 1)

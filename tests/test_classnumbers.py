@@ -146,6 +146,12 @@ class TestLocalCorrection:
         with pytest.raises(ValueError, match=f"^{message}$"):
             local_correction(*args)
 
+    # These returned 1009, 1, 1 and -251.
+    @pytest.mark.parametrize("p", [4, 1, 0, -3])
+    def test_composite_or_small_p_refused(self, p):
+        with pytest.raises(ValueError, match=f"^p must be prime, got {p}$"):
+            local_correction(p, 1, 1, 4)
+
 
 def test_identity_suite_small():
     report = verify_class_identities(VerifyBounds(m_max=120))

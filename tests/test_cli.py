@@ -58,6 +58,24 @@ class TestCoeff:
         assert all(r["delta"] <= 8 for r in recs)
         assert any(r["value"] == "13440/1" for r in recs)
 
+    def test_all_classes_adds_the_twins(self, capsys):
+        argv = ["coeff", "-k", "4", "-p", "2,1,1", "--delta-max", "20"]
+        code, out = run(capsys, *argv, "--all-classes")
+        assert code == 0
+        recs = json_lines(out)
+        twins = [i for i, rec in enumerate(recs) if rec["r"] < 0]
+        for i in twins:
+            prev, rec = recs[i - 1], recs[i]
+            assert (prev["m"], -prev["r"], prev["n"]) == (rec["m"], rec["r"], rec["n"])
+            assert prev["value"] == rec["value"]
+        # The reduced definite T = (m, r, n) with 0 < r <= m <= n and
+        # discriminant 4mn - r^2 up to 20.
+        reduced = [(m, r, n) for m in range(1, 3) for r in range(1, m + 1)
+                   for n in range(m, 6) if 4 * m * n - r * r <= 20]
+        assert len(twins) == len(reduced) == 8
+        _, plain = run(capsys, *argv)
+        assert [rec for rec in recs if rec["r"] >= 0] == json_lines(plain)
+
     def test_values_round_trip(self, capsys):
         _, out = run(capsys, "coeff", "-k", "6", "-p", "2,3,1", "--delta-max", "11")
         for rec in json_lines(out):

@@ -529,13 +529,14 @@ class TestHalfShellStore:
         return peak, sum(h.nbytes for h in by_norm.values())
 
     def test_cold_enumeration_peak(self):
-        # The search in row ranges peaks at about 1.8 times the int8 store
-        # (3.0 MiB) that it returns; as one range it peaked at 6.4 times.
+        # The search in windows peaks at about 1.7 times the int8 store
+        # (3.0 MiB) that it returns; built whole, level by level, it peaked at
+        # 6.4 times.
         peak, store = self.cold_peak(20)
         assert peak <= 3 * store
 
     def test_cold_enumeration_peak_norm_32(self):
-        # The store is 18.5 MiB; as one range the search peaked at 110 MiB.
+        # The store is 18.5 MiB; built whole, the search peaked at 110 MiB.
         peak, _ = self.cold_peak(32)
         assert peak <= 37 * 2 ** 20
 
@@ -579,11 +580,12 @@ def assert_same_halves(got, want):
 
 
 class TestChunkedSearch:
-    """A search split into row ranges, its leaves filed by norm in batches of
-    ranges, keeps every leaf in the order of one range, so the halves are the
-    same byte for byte.  _PIECE_ROWS = 0 files every range on its own."""
+    """A search that builds each level's children in windows of _CHUNK, its
+    leaves filed by norm in batches of windows, keeps every leaf in the order
+    of one search over the whole frontier, so the halves are the same byte
+    for byte.  _PIECE_ROWS = 0 files every window on its own."""
 
-    # Chunks of 1 and 7 rows run tens of thousands of ranges per norm 20
+    # Chunks of 1 and 7 rows run tens of thousands of windows per norm 20
     # search (about 25 s over the built-ins), so they stop at norm 10.
     @pytest.mark.parametrize("chunk, piece_rows, max_norm", [
         (1, 16, 10), (7, 0, 10), (7, 16, 10), (100, 0, 20), (100, 16, 20)])
@@ -597,8 +599,9 @@ class TestChunkedSearch:
 
     @pytest.mark.parametrize("chunk", [1, 2])
     def test_range_without_leaves(self, chunk, monkeypatch):
-        # Some rows of the last level have no admissible value; a range
-        # made of such rows alone has no leaves.
+        # Some rows of the last level have no admissible value, so they own
+        # no children; a window may span such rows between those whose
+        # children it builds.
         gram = GramMatrix.from_rows([[8, 2, 0, 1], [2, 6, 3, 3], [0, 3, 2, 1], [1, 3, 1, 4]])
         want = theta._enumerate(gram, 4)
         monkeypatch.setattr(theta, "_CHUNK", chunk)
@@ -614,9 +617,55 @@ class TestChunkedSearch:
             mp.setattr(theta, "_PIECE_ROWS", piece_rows)
             assert_same_halves(theta._enumerate(gram, 8), want)
 
+    @staticmethod
+    def spied_windows(gram, max_norm):
+        """The totals of the levels whose children _children built in one
+        search, after checking that the windows [a, b) of each level of each
+        parent frontier hold 1 to _CHUNK children and tile [0, total) in
+        order."""
+        children = theta._children
+        building = {}  # level -> (ends, next a) of the frontier in progress
+        totals = []
+
+        def spy(budget, coords, c, lo, count, ends, a, b, level, dl, gl):
+            total = int(ends[-1])
+            if a == 0:
+                assert level not in building
+                totals.append(total)
+            else:
+                assert building[level][0] is ends and building[level][1] == a
+            assert 1 <= b - a <= theta._CHUNK
+            assert b == total or b - a == theta._CHUNK
+            if b < total:
+                building[level] = (ends, b)
+            else:
+                building.pop(level, None)
+            rest, sub = children(budget, coords, c, lo, count, ends, a, b, level, dl, gl)
+            assert len(rest) == len(sub) == b - a
+            return rest, sub
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(theta, "_children", spy)
+            theta._enumerate(gram, max_norm)
+        assert building == {}
+        return totals
+
+    @pytest.mark.parametrize("chunk", [7, 100, theta._CHUNK])
+    @pytest.mark.parametrize("name", BUILTINS)
+    def test_windows_tile_each_level(self, name, chunk, monkeypatch):
+        monkeypatch.setattr(theta, "_CHUNK", chunk)
+        assert self.spied_windows(builtin_lattice(name), 10)
+
+    @pytest.mark.parametrize("chunk", [7, 100, theta._CHUNK])
+    def test_wide_row_windows(self, chunk, monkeypatch):
+        # [[2]] to norm 10^9: one row with 22,361 children, more than any
+        # chunk here.
+        monkeypatch.setattr(theta, "_CHUNK", chunk)
+        assert self.spied_windows(GramMatrix.from_rows([[2]]), 10 ** 9) == [22_361]
+
     def test_wide_keys(self, monkeypatch):
         # A binary form to norm 200,000: 32-bit norm keys and about nine rows
-        # per norm, filed in one batch by default and range by range with
+        # per norm, filed in one batch by default and window by window with
         # _PIECE_ROWS = 0.
         gram = GramMatrix.from_rows([[2, 1], [1, 2]])
         want = theta._enumerate(gram, 200_000)
@@ -715,7 +764,7 @@ class TestVectorGuard:
 
     def test_wide_row_refused_in_windows(self, monkeypatch):
         # A row with more than _CHUNK children goes down in windows of its
-        # values, so the peak does not grow with its width; as one range the
+        # values, so the peak does not grow with its width; built at once, the
         # top row's 2^20 children alone took 64 MiB.
         monkeypatch.setattr(theta, "VECTOR_GUARD", 2 ** 16)
         narrow = self.refused_peak(2 ** 16)
