@@ -20,6 +20,7 @@ from math import gcd
 from .exactmath import (
     decompose_discriminant,
     divisors,
+    integers,
     is_fundamental_discriminant,
     is_squarefree,
     kronecker_symbol,
@@ -27,6 +28,7 @@ from .exactmath import (
     memo,
     moebius,
     require_chi,
+    require_order,
     require_prime,
     require_weight,
 )
@@ -46,15 +48,19 @@ def class_divisor_sum(level: int, k: int, disc: int, conductor: int) -> int:
     gcd(level, conductor), so the value is cached under that gcd and every
     level with the same primes in the conductor reads the same entry.
     """
+    if not type(level) is type(k) is type(disc) is type(conductor) is int:
+        level, k, disc, conductor = integers((level, k, disc, conductor),
+                                             "class_divisor_sum arguments")
     if level < 1 or not is_squarefree(level):
         raise ValueError("level must be a squarefree positive integer")
-    require_weight(k)
     return _class_divisor_sum(gcd(level, conductor), k, disc, conductor)
 
 
 @memo
 def _class_divisor_sum(shared: int, k: int, disc: int, conductor: int) -> int:
-    """class_divisor_sum with the level reduced to its gcd with the conductor."""
+    """class_divisor_sum with the level reduced to its gcd with the conductor.
+    A refused argument is never kept, so checking misses checks every call."""
+    require_weight(k)
     if conductor < 1:
         raise ValueError(f"conductor must be positive, got {conductor}")
     if not is_fundamental_discriminant(disc):
@@ -82,6 +88,7 @@ def cohen_h_level(level: int, k: int, m: int) -> Fraction:
     caller bug (discriminants of half-integral matrices never are), so it is
     a hard error rather than a silent zero.
     """
+    level, k, m = integers((level, k, m), "cohen_h_level arguments")
     if m <= 0 or m % 4 in (1, 2):
         raise ValueError("argument must be positive and 0 or 3 mod 4")
     dec = decompose_discriminant(m)
@@ -98,11 +105,7 @@ def local_correction(p: int, chi: int, v: int, k: int) -> int:
     with empty sums equal to 0.  A p that is not prime, negative v, a chi
     outside -1, 0, 1 and a weight that is odd or below 4 are rejected.
     """
-    require_prime(p)
-    require_weight(k)
-    require_chi(chi)
-    if v < 0:
-        raise ValueError("order must be non-negative")
-    first = sum(p ** (j * (2 * k - 3)) for j in range(v + 1))
-    second = sum(p ** (j * (2 * k - 3)) for j in range(v))
-    return first - chi * p ** (k - 2) * second
+    p, k, chi, v = require_prime(p), require_weight(k), require_chi(chi), require_order("v", v)
+    y = p ** (2 * k - 3)
+    first = (y ** (v + 1) - 1) // (y - 1)  # sum_{j<=v} y^j; less y^v, sum_{j<=v-1} y^j
+    return first - chi * p ** (k - 2) * (first - y**v)

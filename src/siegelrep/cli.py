@@ -70,8 +70,6 @@ def _parse_triple(text: str, what: str) -> tuple[int, int, int]:
 
 def _emit(records: list[dict], fmt: str, stream) -> None:
     if fmt == "csv":
-        if not records:
-            return
         writer = csv.DictWriter(stream, fieldnames=list(records[0].keys()))
         writer.writeheader()
         writer.writerows(records)
@@ -166,7 +164,7 @@ def _cmd_verify(args) -> int:
     reports = run_suites(args.suite, bounds)
     for rep in reports:
         state = "ok" if rep.ok else "FAIL"
-        print(f"{rep.name}: {rep.checks} checks, {len(rep.failures)} failures [{state}]")
+        print(f"{rep.name}: {rep.checks} checks, {rep.failed} failures [{state}]")
         for line in rep.failures:
             print(f"  {line}")
     return 0 if all(rep.ok for rep in reports) else 1

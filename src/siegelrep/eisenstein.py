@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -36,11 +35,13 @@ from .exactmath import (
     decompose_discriminant,
     divisors,
     generalized_bernoulli,
+    integers,
     is_squarefree,
     kronecker_symbol,
     memo,
     prime_divisors,
     require_chi,
+    require_order,
     require_prime,
     require_weight,
     valuation,
@@ -68,9 +69,9 @@ class HalfIntegralMatrix:
     """Matrix ((m, r/2), (r/2, n)) stored as the integer triple (m, r, n).
 
     Construction enforces positive semidefiniteness; indefinite input is a
-    hard error, never coerced.  Entries must be integers in the sense of
-    operator.index (Python or numpy ints, not 1.0, Fraction(2) or "1"); they
-    are kept as Python ints.
+    hard error, never coerced.  Entries follow exactmath.integers (Python
+    or numpy ints, not 1.0, Fraction(2) or "1"); they are kept as Python
+    ints.
     """
 
     m: int
@@ -78,15 +79,9 @@ class HalfIntegralMatrix:
     n: int
 
     def __post_init__(self) -> None:
-        m, r, n = self.m, self.r, self.n
-        if not (type(m) is int and type(r) is int and type(n) is int):
-            try:
-                m, r, n = operator.index(m), operator.index(r), operator.index(n)
-            except TypeError:
-                raise ValueError("matrix entries must be integers") from None
-            object.__setattr__(self, "m", m)
-            object.__setattr__(self, "r", r)
-            object.__setattr__(self, "n", n)
+        if not (type(self.m) is int and type(self.r) is int and type(self.n) is int):
+            for name, x in zip("mrn", integers((self.m, self.r, self.n), "matrix entries")):
+                object.__setattr__(self, name, x)
         if self.m < 0 or self.n < 0 or 4 * self.m * self.n - self.r * self.r < 0:
             raise ValueError("matrix must be positive semidefinite")
 
@@ -124,13 +119,15 @@ class HalfIntegralMatrix:
 
 @dataclass(frozen=True)
 class LevelPartition:
-    """Ordered factorization (n0, n1, n2) of a squarefree level."""
+    """Ordered factorization (n0, n1, n2) of a squarefree level, as Python ints."""
 
     n0: int
     n1: int
     n2: int
 
     def __post_init__(self) -> None:
+        for name, x in zip(("n0", "n1", "n2"), integers(self.as_tuple(), "partition entries")):
+            object.__setattr__(self, name, x)
         if min(self.n0, self.n1, self.n2) < 1:
             raise ValueError("partition entries must be positive")
         if not is_squarefree(self.n0 * self.n1 * self.n2):
@@ -152,7 +149,7 @@ class EisensteinSpec:
     partition: LevelPartition
 
     def __post_init__(self) -> None:
-        require_weight(self.k)
+        object.__setattr__(self, "k", require_weight(self.k))
 
 
 def partitions_of_level(level: int) -> tuple[LevelPartition, ...]:
@@ -172,9 +169,7 @@ def partitions_of_level(level: int) -> tuple[LevelPartition, ...]:
 def singular_local_factors(p: int, u: int, k: int) -> tuple[Fraction, Fraction, Fraction]:
     """Factors at p for rank 1 coefficients in slots 0, 1 and 2 of the
     partition; u is the order of p in the content."""
-    require_prime(p)
-    _require_order("u", u)
-    require_weight(k)
+    p, u, k = require_prime(p), require_order("u", u), require_weight(k)
     x = p ** (k - 1)
     high = x ** (u + 1)
     slot1 = Fraction(high * p, p**k - 1)
@@ -187,13 +182,10 @@ def definite_local_factors(p: int, u: int, v: int, chi: int,
     """Factors at p for definite coefficients in slots 0, 1 and 2 of the
     partition.  u and v are the orders of p in the content and in the
     conductor, so u <= v; chi is the character value at p."""
-    require_prime(p)
-    _require_order("u", u)
-    _require_order("v", v)
+    p, u, v = require_prime(p), require_order("u", u), require_order("v", v)
     if u > v:
         raise ValueError(f"u must be at most v, got u={u} v={v}")
-    require_chi(chi)
-    require_weight(k)
+    chi, k = require_chi(chi), require_weight(k)
     y = 2 * k - 3
     a = p**y - chi * p ** (k - 2)
     b = chi * p ** (k - 2) - 1
@@ -269,11 +261,6 @@ def _level_terms(level: int, k: int, delta: int, content: int) -> tuple[tuple, i
     return local, class_sum * num, gen.denominator * b_k.numerator * b_2k.numerator
 
 
-def _require_order(name: str, value: int) -> None:
-    if value < 0:
-        raise ValueError(f"{name} must be non-negative, got {value}")
-
-
 def raise_level(a_t: Fraction | int, a_pt: Fraction | int, a_p2t: Fraction | int,
                 p: int, k: int) -> tuple[Fraction, Fraction, Fraction]:
     """Split a level N coefficient triple (a(T), a(pT), a(p^2 T)) into the
@@ -282,8 +269,7 @@ def raise_level(a_t: Fraction | int, a_pt: Fraction | int, a_p2t: Fraction | int
     The three outputs always sum back to a(T).  p must be prime, and k even
     and at least 4, as for a basis series.
     """
-    require_prime(p)
-    require_weight(k)
+    p, k = require_prime(p), require_weight(k)
     # The inputs over one denominator d, and every combination multiplied
     # through by q = p^(k-4), which turns the p^(4-k) terms into the plain
     # differences of t, pt and p2t below.
@@ -307,12 +293,13 @@ def raise_level(a_t: Fraction | int, a_pt: Fraction | int, a_p2t: Fraction | int
     return (Fraction(out0, den), Fraction(out1, den), Fraction(out2, den))
 
 
-def _require_prime_divides(spec: EisensteinSpec, p: int, should_divide: bool) -> None:
-    require_prime(p)
+def _require_prime_divides(spec: EisensteinSpec, p: int, should_divide: bool) -> int:
+    p = require_prime(p)
     divides = spec.partition.level % p == 0
     if divides != should_divide:
         verb = "must" if should_divide else "must not"
         raise ValueError(f"p {verb} divide the level")
+    return p
 
 
 def _degree_p_images(mat: HalfIntegralMatrix, p: int) -> list[HalfIntegralMatrix]:
@@ -328,7 +315,7 @@ def hecke_tp(spec: EisensteinSpec, p: int, mat: HalfIntegralMatrix) -> Fraction:
 
     Transform terms that leave the half-integral lattice contribute 0.
     """
-    _require_prime_divides(spec, p, False)
+    p = _require_prime_divides(spec, p, False)
     k = spec.k
     terms = [(1, fourier_coefficient(spec, mat.scaled(p)))]
     for image in _degree_p_images(mat, p):
@@ -343,29 +330,22 @@ def hecke_tp(spec: EisensteinSpec, p: int, mat: HalfIntegralMatrix) -> Fraction:
 
 def hecke_up(spec: EisensteinSpec, p: int, mat: HalfIntegralMatrix) -> Fraction:
     """Coefficient action of U(p) for p dividing the level: a(pT)."""
-    _require_prime_divides(spec, p, True)
+    p = _require_prime_divides(spec, p, True)
     return fourier_coefficient(spec, mat.scaled(p))
 
 
 def hecke_u1p2(spec: EisensteinSpec, p: int, mat: HalfIntegralMatrix) -> Fraction:
     """Coefficient action of U_1(p^2) for p dividing the level: the p + 1
     term sum over the degree p column transforms."""
-    _require_prime_divides(spec, p, True)
-    return _combination((1, fourier_coefficient(spec, w)) for w in _degree_p_images(mat, p))
+    p = _require_prime_divides(spec, p, True)
+    return _combination([(1, fourier_coefficient(spec, w)) for w in _degree_p_images(mat, p)])
 
 
 def _combination(terms) -> Fraction:
-    """Sum of c * x over pairs (int c, Fraction x), accumulated as one integer
-    numerator and denominator; terms that share the denominator so far are
-    added without growing it."""
-    num, den = 0, 1
-    for c, x in terms:
-        if x.denominator == den:
-            num += c * x.numerator
-        else:
-            num = num * x.denominator + c * x.numerator * den
-            den *= x.denominator
-    return Fraction(num, den)
+    """Sum of c * x over pairs (int c, Fraction x): the numerators over
+    d = lcm of the denominators, then one Fraction."""
+    d = math.lcm(*(x.denominator for _, x in terms))
+    return Fraction(sum(c * x.numerator * (d // x.denominator) for c, x in terms), d)
 
 
 def reduced_representatives(delta_max: int, singular_content_max: int = 0,

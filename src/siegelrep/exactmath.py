@@ -5,14 +5,16 @@ positive denominator, so equality is bit-exact); nothing in this module ever
 touches floating point.  The arrays are a table of character values in
 {-1, 0, 1} and the int64 powers of generalized_bernoulli's power sums, used
 only under a bound, checked at run time, that rules out overflow.  All
-functions are pure.  The package's one cache policy lives here: `memo` is
-functools.cache (unbounded, thread-safe) plus registration, and
-clear_caches() empties every registered table.
+functions are pure.  The package's one cache policy lives here (`memo` is
+functools.cache, unbounded and thread-safe, plus registration, and
+clear_caches() empties every registered table), and so does its one
+integer rule, `integers`, which the argument checks and value types apply.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
@@ -77,9 +79,6 @@ class Factorization:
     """Prime factorization as (prime, exponent) pairs with primes increasing."""
 
     pairs: tuple[tuple[int, int], ...]
-
-    def primes(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self.pairs)
 
     @cached_property
     def squarefree(self) -> bool:
@@ -173,6 +172,7 @@ def factorize(n: int) -> Factorization:
     """Trial-division factorization.  Inputs above FACTOR_GUARD are refused,
     and so are those with two prime factors above _TRIAL_LIMIT (counted
     with multiplicity)."""
+    (n,) = integers((n,), "factorize arguments")
     if n < 1:
         raise ValueError("factorize needs n >= 1")
     if n > FACTOR_GUARD:
@@ -205,7 +205,7 @@ def divisors(n: int) -> tuple[int, ...]:
 
 
 def prime_divisors(n: int) -> tuple[int, ...]:
-    return factorize(n).primes()
+    return tuple(p for p, _ in factorize(n).pairs)
 
 
 def moebius(n: int) -> int:
@@ -242,20 +242,43 @@ def is_prime(n: int) -> bool:
     return _is_strong_probable_prime(n)
 
 
-# The argument checks that classnumbers and eisenstein share.
-def require_prime(p: int) -> None:
+def integers(values, what: str) -> tuple[int, ...]:
+    """values as Python ints, through operator.index: Python and numpy ints
+    pass, while floats, Fractions and strings are refused."""
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        raise ValueError(f"{what} must be integers") from None
+
+
+# The argument checks that classnumbers and eisenstein share.  Each returns
+# its argument as a Python int, and callers compute with that.
+def require_prime(p: int) -> int:
+    p = p if type(p) is int else integers((p,), "primes")[0]
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
+    return p
 
 
-def require_weight(k: int) -> None:
+def require_weight(k: int) -> int:
+    k = k if type(k) is int else integers((k,), "weights")[0]
     if k < 4 or k % 2:
         raise ValueError("weight must be even and at least 4")
+    return k
 
 
-def require_chi(chi: int) -> None:
+def require_chi(chi: int) -> int:
+    chi = chi if type(chi) is int else integers((chi,), "character values")[0]
     if chi not in (-1, 0, 1):
         raise ValueError(f"chi must be -1, 0 or 1, got {chi}")
+    return chi
+
+
+def require_order(name: str, value: int) -> int:
+    value = value if type(value) is int else integers((value,), "orders")[0]
+    if value < 0:
+        raise ValueError(f"{name} must be non-negative, got {value}")
+    return value
 
 
 @memo
@@ -332,6 +355,7 @@ def generalized_bernoulli(n: int, disc: int) -> Fraction:
     q^(n+1) < 2^63 the sums are int64 dot products; otherwise they are
     summed as Python ints.
     """
+    n, disc = integers((n, disc), "generalized_bernoulli arguments")
     if n < 1:
         raise ValueError("generalized_bernoulli needs n >= 1")
     if not is_fundamental_discriminant(disc):

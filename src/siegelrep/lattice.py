@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import operator
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -29,7 +28,8 @@ from .eisenstein import (
     fourier_coefficient,
     partitions_of_level,
 )
-from .exactmath import is_prime, is_squarefree, kronecker_symbol, memo, prime_divisors, valuation
+from .exactmath import (integers, is_prime, is_squarefree, kronecker_symbol, memo,
+                         prime_divisors, valuation)
 
 __all__ = [
     "GramMatrix",
@@ -52,21 +52,17 @@ class GramMatrix:
     """Symmetric integer matrix with even diagonal, positive definite.
 
     The genus machinery needs even rank; the plain enumeration helpers do
-    not, so rank is not restricted here.  Entries must be integers in the
-    sense of operator.index (Python or numpy ints, not 2.0 or "2"); they are
-    kept as Python ints.  Equality, hashing and repr use rows only; the LDL'
-    decomposition is derived from them once, when built.
+    not, so rank is not restricted here.  Entries follow exactmath.integers
+    (Python or numpy ints, not 2.0 or "2"); they are kept as Python ints.
+    Equality, hashing and repr use rows only; the LDL' decomposition is
+    derived from them once, when built.
     """
 
     rows: tuple[tuple[int, ...], ...]
     _ldl: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        try:
-            rows = tuple(tuple(operator.index(x) for x in row) for row in self.rows)
-        except TypeError:
-            raise ValueError("matrix entries must be integers") from None
-        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "rows", tuple(integers(r, "matrix entries") for r in self.rows))
         n = len(self.rows)
         if n == 0:
             raise ValueError("matrix must be nonempty")
@@ -100,10 +96,6 @@ class GramMatrix:
         object.__setattr__(self, "_ldl", (tuple(pivots), tuple(map(tuple, low))))
 
     @classmethod
-    def from_rows(cls, rows) -> "GramMatrix":
-        return cls(rows)
-
-    @classmethod
     def from_lower_triangular(cls, values) -> "GramMatrix":
         vals = list(values)
         size = (math.isqrt(8 * len(vals) + 1) - 1) // 2
@@ -115,7 +107,7 @@ class GramMatrix:
             for j in range(i + 1):
                 rows[i][j] = rows[j][i] = vals[pos]
                 pos += 1
-        return cls.from_rows(rows)
+        return cls(rows)
 
     @property
     def size(self) -> int:
@@ -245,9 +237,6 @@ def genus_coefficients(gram: GramMatrix) -> Mapping[LevelPartition, Fraction]:
         raise ValueError("level must be squarefree")
     if not prof.character_trivial:
         raise ValueError("character must be trivial")
-    for p in prof.d_powers:
-        if valuation(p, prof.d_powers[p]) % 2:
-            raise ValueError("determinant valuation must be even at primes of the level")
     out = {}
     for part in partitions_of_level(prof.level):
         c = Fraction(1)

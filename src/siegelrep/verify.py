@@ -11,7 +11,7 @@ acceptance tests both run these suites.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import astuple, dataclass, fields
 from fractions import Fraction
 
 from .classnumbers import class_divisor_sum, cohen_h_level, local_correction
@@ -31,6 +31,7 @@ from .eisenstein import (
 from .exactmath import (
     decompose_discriminant,
     divisors,
+    integers,
     is_prime,
     is_squarefree,
     kronecker_symbol,
@@ -65,13 +66,15 @@ EXPECTED_GENUS_TABLES: dict[str, dict[tuple[int, int, int], Fraction]] = {
 
 @dataclass(frozen=True)
 class SuiteReport:
+    """Checks run, how many failed, and the first _FAILURE_LIMIT messages."""
     name: str
     checks: int
+    failed: int
     failures: tuple[str, ...]
 
     @property
     def ok(self) -> bool:
-        return not self.failures
+        return not self.failed
 
 
 _FAILURE_LIMIT = 12  # failure messages kept per suite
@@ -81,17 +84,20 @@ class _Tally:
     def __init__(self, name: str):
         self.name = name
         self.checks = 0
+        self.failed = 0
         self.failures: list[str] = []
 
     def check(self, condition: bool, message: str, *args) -> None:
-        """Count one check; on failure keep message.format(*args), formatted
-        only then, while fewer than _FAILURE_LIMIT are kept."""
+        """Count one check and each failure; keep message.format(*args),
+        formatted only then, while fewer than _FAILURE_LIMIT are kept."""
         self.checks += 1
-        if not condition and len(self.failures) < _FAILURE_LIMIT:
-            self.failures.append(message.format(*args))
+        if not condition:
+            self.failed += 1
+            if len(self.failures) < _FAILURE_LIMIT:
+                self.failures.append(message.format(*args))
 
     def report(self) -> SuiteReport:
-        return SuiteReport(self.name, self.checks, tuple(self.failures))
+        return SuiteReport(self.name, self.checks, self.failed, tuple(self.failures))
 
 
 # Fixed parts of each grid.
@@ -115,8 +121,8 @@ class VerifyBounds:
     (delta_max is --delta-max).  delta_max, sing_max, level_max and prime_max
     bound the coefficient suite, m_max the class sums, t_count the Hecke
     matrices (at most len(HECKE_GRID)), and lattice_delta_max and
-    lattice_sing_max the lattice oracle.  Negative values are refused, and
-    so is a t_count the grid cannot hold."""
+    lattice_sing_max the lattice oracle.  They are kept as Python ints;
+    negative values are refused, and so is a t_count the grid cannot hold."""
     delta_max: int = 50
     sing_max: int = 12
     level_max: int = 15
@@ -127,8 +133,8 @@ class VerifyBounds:
     lattice_sing_max: int = 10
 
     def __post_init__(self) -> None:
-        for field in fields(self):
-            value = getattr(self, field.name)
+        for field, value in zip(fields(self), integers(astuple(self), "bounds")):
+            object.__setattr__(self, field.name, value)
             if value < 0:
                 raise ValueError(f"{field.name} must be non-negative, got {value}")
         if self.t_count > len(HECKE_GRID):

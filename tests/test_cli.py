@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import siegelrep
-from siegelrep import theta
+from siegelrep import theta, verify
 from siegelrep.cli import _build_parser, main
 from siegelrep.exactmath import FACTOR_GUARD, clear_caches
 from siegelrep.lattice import builtin_lattice, format_gram
@@ -333,6 +333,18 @@ class TestVerify:
                         "--level-max", "3", "--prime-max", "3", "--m-max", "40")
         assert code == 0
         assert "0 failures" in out
+
+    def test_every_failure_is_counted(self, capsys, monkeypatch):
+        # One more than the true count fails each of the 165 formula checks;
+        # the report keeps the first 12 messages and counts all 165.
+        real = verify.rep_deg2
+        monkeypatch.setattr(verify, "rep_deg2", lambda gram, t: real(gram, t) + 1)
+        code, out = run(capsys, "verify", "lattices")
+        lines = out.splitlines()
+        assert code == 1
+        assert lines[0] == "lattices: 335 checks, 165 failures [FAIL]"
+        assert len(lines) == 13
+        assert all(line.startswith("  formula ") for line in lines[1:])
 
     def test_unknown_suite_is_usage_error(self, capsys):
         assert run(capsys, "verify", "nonsense")[0] == 2

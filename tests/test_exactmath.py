@@ -1,6 +1,7 @@
 from fractions import Fraction
 from math import comb, lcm, prod
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -192,6 +193,10 @@ class TestLValues:
         with pytest.raises(ValueError):
             xm.l_negative(3, -5)
 
+    def test_rejects_n_below_one(self):
+        with pytest.raises(ValueError, match="^generalized_bernoulli needs n >= 1$"):
+            xm.generalized_bernoulli(0, -3)
+
 
 class TestFactorization:
     def test_spot_values(self):
@@ -203,6 +208,11 @@ class TestFactorization:
         assert xm.is_squarefree(30) and not xm.is_squarefree(18)
         # the largest prime below 2^64, without trial division to its root
         assert xm.factorize(18446744073709551557).pairs == ((18446744073709551557, 1),)
+
+    @pytest.mark.parametrize("p, n", [(1, 8), (2, 0)])
+    def test_valuation_refuses_bad_arguments(self, p, n):
+        with pytest.raises(ValueError, match="^valuation needs p >= 2 and n >= 1$"):
+            xm.valuation(p, n)
 
     def test_invalid_and_guard_are_distinct(self):
         with pytest.raises(ValueError):
@@ -233,7 +243,7 @@ class TestFactorization:
     def test_reconstruction(self, n):
         fac = xm.factorize(n)
         assert prod(p**a for p, a in fac.pairs) == n
-        assert list(fac.primes()) == sorted(fac.primes())
+        assert list(xm.prime_divisors(n)) == sorted(p for p, _ in fac.pairs)
         ds = xm.divisors(n)
         assert ds[0] == 1 and ds[-1] == n
         assert list(ds) == sorted(ds)
@@ -244,3 +254,22 @@ class TestFactorization:
         from math import gcd
         if gcd(a, b) == 1:
             assert xm.moebius(a * b) == xm.moebius(a) * xm.moebius(b)
+
+
+class TestIntegers:
+    def test_python_and_numpy_ints_become_python_ints(self):
+        got = xm.integers([3, np.int64(-4), np.uint8(5), 2**70], "values")
+        assert got == (3, -4, 5, 2**70) and all(type(x) is int for x in got)
+
+    @pytest.mark.parametrize("bad", [2.0, 2.5, np.float64(2), Fraction(2), "2", None])
+    def test_floats_fractions_and_strings_refused(self, bad):
+        with pytest.raises(ValueError, match="^values must be integers$"):
+            xm.integers([1, bad], "values")
+
+    @pytest.mark.parametrize("check, value", [
+        (xm.require_prime, 7), (xm.require_weight, 6), (xm.require_chi, -1),
+        (lambda v: xm.require_order("v", v), 3)], ids=["prime", "weight", "chi", "order"])
+    def test_shared_checks_return_python_ints(self, check, value):
+        for arg in (value, np.int64(value), np.int8(value)):
+            got = check(arg)
+            assert got == value and type(got) is int

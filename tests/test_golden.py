@@ -7,8 +7,8 @@ enumeration bounds (through the rep counts).  Each file holds the stdout of
 the case of the same name; exit_codes.json maps every case to its exit code.
 The verify cases set every VerifyBounds field to a value that changes a
 check count, and all exit 0.  So does the S1 count at T = (4, 1, 4), whose
-norms 8 x 8 run the packed pair kernel (three cross products per float64
-product); its files were written by the unpacked kernel.
+norms 8 x 8 run the packed pair kernel (three cross products per float32
+product, K = 17); its files were written by the unpacked kernel.
 """
 
 import json

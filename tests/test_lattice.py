@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from math import lcm
 
@@ -78,22 +79,33 @@ class TestGramMatrix:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            GramMatrix.from_rows([[2, 1], [0, 2]])
+            GramMatrix([[2, 1], [0, 2]])
         with pytest.raises(ValueError):
-            GramMatrix.from_rows([[1, 0], [0, 2]])
+            GramMatrix([[1, 0], [0, 2]])
         with pytest.raises(ValueError):
-            GramMatrix.from_rows([[2, 3], [3, 2]])
+            GramMatrix([[2, 3], [3, 2]])
         with pytest.raises(ValueError):
             GramMatrix.from_lower_triangular([2, 1])
         # zero first pivot, singular, and rank 3 with a negative last pivot
         for rows in ([[0, 1], [1, 2]], [[2, 2], [2, 2]], [[2, 1, 2], [1, 2, 2], [2, 2, 2]]):
             with pytest.raises(ValueError, match="positive definite"):
-                GramMatrix.from_rows(rows)
+                GramMatrix(rows)
+
+    @pytest.mark.parametrize("rows, message", [
+        ([], "matrix must be nonempty"), ([[2, 1]], "matrix must be square")])
+    def test_shape_refused(self, rows, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            GramMatrix(rows)
+
+    def test_unknown_builtin_refused(self):
+        message = "unknown lattice 'S9'; choose one of ('S1', 'S2', 'S3', 'S4', 'S5')"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            builtin_lattice("S9")
 
     @pytest.mark.parametrize("entry", [2.5, 2.0, Fraction(5, 2), Fraction(2), "2"],
                              ids=["2.5", "2.0", "Fraction(5,2)", "Fraction(2)", "str"])
     @pytest.mark.parametrize("build", [
-        lambda e: GramMatrix.from_rows([[e, 1], [1, 2]]),
+        lambda e: GramMatrix([[e, 1], [1, 2]]),
         lambda e: GramMatrix.from_lower_triangular([e, 1, 2]),
         lambda e: GramMatrix(((e, 1), (1, 2))),
     ], ids=["from_rows", "from_lower_triangular", "constructor"])
@@ -103,8 +115,8 @@ class TestGramMatrix:
             build(entry)
 
     def test_numpy_int_entries(self):
-        a2 = GramMatrix.from_rows([[2, 1], [1, 2]])
-        for g in (GramMatrix.from_rows(np.array([[2, 1], [1, 2]], dtype=np.int64)),
+        a2 = GramMatrix([[2, 1], [1, 2]])
+        for g in (GramMatrix(np.array([[2, 1], [1, 2]], dtype=np.int64)),
                   GramMatrix.from_lower_triangular([np.int64(2), np.int8(1), np.int64(2)]),
                   GramMatrix(((np.int64(2), 1), (1, np.int16(2))))):
             assert g == a2 and hash(g) == hash(a2)
@@ -151,7 +163,7 @@ class TestProfile:
         assert table == EXPECTED_TABLES["S2"]
 
     def test_nontrivial_character_detected(self):
-        gram = GramMatrix.from_rows(block_sum(a_series(6), a_series(2)))
+        gram = GramMatrix(block_sum(a_series(6), a_series(2)))
         prof = profile(gram)
         assert prof.level == 21 and prof.determinant == 21
         assert not prof.character_trivial
@@ -160,7 +172,7 @@ class TestProfile:
 
     def test_odd_rank_rejected(self):
         with pytest.raises(ValueError):
-            profile(GramMatrix.from_rows(a_series(3)))
+            profile(GramMatrix(a_series(3)))
 
 
 class TestHilbertSymbol:
@@ -228,7 +240,7 @@ class TestHilbertSymbol:
 
 class TestHasse:
     def test_diagonal_twos_at_odd_primes(self):
-        gram = GramMatrix.from_rows([[2 * (i == j) for j in range(8)] for i in range(8)])
+        gram = GramMatrix([[2 * (i == j) for j in range(8)] for i in range(8)])
         for p in (3, 5, 7):
             assert hasse_invariant(gram, p) == 1
 
@@ -243,7 +255,7 @@ class TestHasse:
                 for j in range(i):
                     rows[i][j] = rows[j][i] = rng.randint(-1, 1)
             try:
-                grams.append(GramMatrix.from_rows(rows))
+                grams.append(GramMatrix(rows))
             except ValueError:
                 continue
         for gram in grams:
@@ -252,7 +264,7 @@ class TestHasse:
             shuffled = list(range(gram.size))
             rng.shuffle(shuffled)
             orders.append(shuffled)
-            permuted = [GramMatrix.from_rows([[gram.rows[i][j] for j in o] for i in o])
+            permuted = [GramMatrix([[gram.rows[i][j] for j in o] for i in o])
                         for o in orders]
             for p in (2, 3, 5):
                 values = {hasse_invariant(g, p) for g in permuted}
@@ -335,7 +347,7 @@ class TestDecompositionEquivalence:
             minors = reference_minors(rows)
             definite = minors is not None and all(v > 0 for v in minors)
             try:
-                gram = GramMatrix.from_rows(rows)
+                gram = GramMatrix(rows)
             except ValueError:
                 assert not definite
                 rejected += 1
@@ -378,8 +390,15 @@ class TestGenus:
         assert genus_rep_number(gram, HalfIntegralMatrix(1, 1, 1)) == 1452
 
     def test_small_rank_rejected(self):
-        gram = GramMatrix.from_rows([[2, 0], [0, 2]])
+        gram = GramMatrix([[2, 0], [0, 2]])
         with pytest.raises(ValueError):
+            genus_coefficients(gram)
+
+    def test_level_not_squarefree_rejected(self):
+        # 2 I_8: rank 8, trivial character, level 4.
+        gram = GramMatrix([[2 * (i == j) for j in range(8)] for i in range(8)])
+        assert profile(gram).level == 4
+        with pytest.raises(ValueError, match="^level must be squarefree$"):
             genus_coefficients(gram)
 
 
@@ -392,7 +411,7 @@ class TestGramFiles:
 
     def test_parse_layout_and_comments(self):
         text = "# toy rank 2 lattice\n2\n2\n1 2\n"
-        assert parse_gram(text) == GramMatrix.from_rows([[2, 1], [1, 2]])
+        assert parse_gram(text) == GramMatrix([[2, 1], [1, 2]])
 
     def test_parse_errors(self):
         with pytest.raises(ValueError):

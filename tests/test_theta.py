@@ -16,9 +16,9 @@ from siegelrep.exactmath import clear_caches
 from siegelrep.lattice import GramMatrix, builtin_lattice, genus_rep_number
 from siegelrep.theta import rep_deg1, rep_deg2, shells
 
-DIAG22 = GramMatrix.from_rows([[2, 0], [0, 2]])
-A2 = GramMatrix.from_rows([[2, 1], [1, 2]])
-TOY3 = GramMatrix.from_rows([[2, 1, 0], [1, 2, 1], [0, 1, 4]])
+DIAG22 = GramMatrix([[2, 0], [0, 2]])
+A2 = GramMatrix([[2, 1], [1, 2]])
+TOY3 = GramMatrix([[2, 1, 0], [1, 2, 1], [0, 1, 4]])
 
 
 def naive_box_vectors(gram, max_norm):
@@ -105,7 +105,7 @@ class TestRepDeg1:
         assert rep_deg1(builtin_lattice("S1"), 1) == 240
 
     def test_extension_beyond_cached_norm(self):
-        gram = GramMatrix.from_rows([[4, 0], [0, 4]])
+        gram = GramMatrix([[4, 0], [0, 4]])
         shells(gram, 2)
         assert rep_deg1(gram, 1) == 0
         assert rep_deg1(gram, 2) == 4
@@ -124,7 +124,7 @@ class TestRepDeg2:
         assert rep_deg2(g1, HalfIntegralMatrix(1, 1, 1)) == 13440
         # 2 S3: every cross product is even, so an odd r has no pairs
         g3 = builtin_lattice("S3")
-        doubled = GramMatrix.from_rows([[2 * v for v in row] for row in g3.rows])
+        doubled = GramMatrix([[2 * v for v in row] for row in g3.rows])
         assert rep_deg2(doubled, HalfIntegralMatrix(2, 1, 2)) == 0
         assert rep_deg2(doubled, HalfIntegralMatrix(2, 2, 2)) == 2688
         assert rep_deg2(g3, HalfIntegralMatrix(1, 1, 1)) == 2688
@@ -261,7 +261,7 @@ PAIRS = [(a, b) for a in (2, 4, 6) for b in (2, 4, 6) if a <= b]
 
 def skewed_a2(k):
     """A2 in the basis (e1, k e1 + e2)."""
-    return GramMatrix.from_rows([[2, 2 * k + 1], [2 * k + 1, 2 * k * k + 2 * k + 2]])
+    return GramMatrix([[2, 2 * k + 1], [2 * k + 1, 2 * k * k + 2 * k + 2]])
 
 
 @st.composite
@@ -273,7 +273,7 @@ def even_grams(draw):
         for j in range(i):
             rows[i][j] = rows[j][i] = draw(st.integers(-2, 2))
     try:
-        return GramMatrix.from_rows(rows)
+        return GramMatrix(rows)
     except ValueError:
         assume(False)
 
@@ -368,7 +368,7 @@ class TestExactTiers:
         # A2 scaled by c = 2^60: every entry of the split form fits int64,
         # but the scaled norm bound 8c = 2^63 does not.
         c = 2 ** 60
-        scaled = GramMatrix.from_rows([[c * v for v in row] for row in A2.rows])
+        scaled = GramMatrix([[c * v for v in row] for row in A2.rows])
         large = shells(scaled, 8 * c)
         assert chosen == {(False, object)}
         small = shells(A2, 8)
@@ -392,8 +392,8 @@ class TestExactTiers:
         (2 ** 70, {(False, object), (True, object)}),
     ], ids=["1", "2^30", "2^55", "2^70"])
     def test_scaled_gram(self, rows, c, tiers, chosen):
-        base = GramMatrix.from_rows(rows)
-        scaled = GramMatrix.from_rows([[c * v for v in row] for row in rows])
+        base = GramMatrix(rows)
+        scaled = GramMatrix([[c * v for v in row] for row in rows])
         want = [rep_deg2(base, t) for t in TIER_MATS]
         clear_caches()
         chosen.clear()
@@ -416,7 +416,7 @@ class TestExactTiers:
     # at c = 252 and, with one BLAS thread, first miscounts at c = 599.
     @pytest.mark.parametrize("c, dtype", [(251, np.float32), (252, np.float64)])
     def test_float32_bound(self, c, dtype, chosen):
-        gram = GramMatrix.from_rows([[c * v for v in row] for row in TOY3.rows])
+        gram = GramMatrix([[c * v for v in row] for row in TOY3.rows])
         want = {c * r: n for r, n in full_product_counts(TOY3, 6, 6).items()}
         clear_caches()
         chosen.clear()
@@ -428,7 +428,7 @@ class TestExactTiers:
         # At c = 1001 some packed sums are odd integers above 2^24, which
         # float32 cannot hold; in any summation order they round and keys move.
         c = 1001
-        gram = GramMatrix.from_rows([[c * v for v in row] for row in TOY3.rows])
+        gram = GramMatrix([[c * v for v in row] for row in TOY3.rows])
         want = {c * r: n for r, n in full_product_counts(TOY3, 6, 6).items()}
         pick = theta._exact_dtype
         clear_caches()
@@ -602,7 +602,7 @@ class TestChunkedSearch:
         # Some rows of the last level have no admissible value, so they own
         # no children; a window may span such rows between those whose
         # children it builds.
-        gram = GramMatrix.from_rows([[8, 2, 0, 1], [2, 6, 3, 3], [0, 3, 2, 1], [1, 3, 1, 4]])
+        gram = GramMatrix([[8, 2, 0, 1], [2, 6, 3, 3], [0, 3, 2, 1], [1, 3, 1, 4]])
         want = theta._enumerate(gram, 4)
         monkeypatch.setattr(theta, "_CHUNK", chunk)
         monkeypatch.setattr(theta, "_PIECE_ROWS", 0)
@@ -661,13 +661,13 @@ class TestChunkedSearch:
         # [[2]] to norm 10^9: one row with 22,361 children, more than any
         # chunk here.
         monkeypatch.setattr(theta, "_CHUNK", chunk)
-        assert self.spied_windows(GramMatrix.from_rows([[2]]), 10 ** 9) == [22_361]
+        assert self.spied_windows(GramMatrix([[2]]), 10 ** 9) == [22_361]
 
     def test_wide_keys(self, monkeypatch):
         # A binary form to norm 200,000: 32-bit norm keys and about nine rows
         # per norm, filed in one batch by default and window by window with
         # _PIECE_ROWS = 0.
-        gram = GramMatrix.from_rows([[2, 1], [1, 2]])
+        gram = GramMatrix([[2, 1], [1, 2]])
         want = theta._enumerate(gram, 200_000)
         monkeypatch.setattr(theta, "_PIECE_ROWS", 0)
         assert_same_halves(theta._enumerate(gram, 200_000), want)
@@ -713,7 +713,7 @@ class TestZeroTail:
 
     def test_object_budgets(self):
         # Norms past 2^63 put the budgets in Python ints.
-        gram = GramMatrix.from_rows([[2 ** 61, 0], [0, 2 ** 61 + 2]])
+        gram = GramMatrix([[2 ** 61, 0], [0, 2 ** 61 + 2]])
         seen = self.spied_search(gram, 2 ** 64)
         assert seen["dtypes"] == {np.dtype(object)}
         assert seen["zero"] == 2 and seen["nonzero"] > 0
@@ -800,14 +800,14 @@ class TestSparseHistogram:
     def test_huge_entries_small_gcd(self):
         # The dense histogram over [-sqrt(ab), sqrt(ab)] / 2 would need 2^61
         # entries for four pairs.
-        gram = GramMatrix.from_rows([[2 ** 61, 0], [0, 2 ** 61 + 2]])
+        gram = GramMatrix([[2 ** 61, 0], [0, 2 ** 61 + 2]])
         assert rep_deg2(gram, HalfIntegralMatrix(2 ** 60, 0, 2 ** 60 + 1)) == 4
         assert rep_deg2(gram, HalfIntegralMatrix(2 ** 60, 2, 2 ** 60 + 1)) == 0
         assert rep_deg2(gram, HalfIntegralMatrix(2 ** 60, 2 ** 61, 2 ** 60 + 1)) == 0
 
     def test_sparse_matches_full_products(self, monkeypatch):
         # 2 x^2 + 2 x y + 1000 y^2: few vectors of large norm
-        gram = GramMatrix.from_rows([[2, 1], [1, 1000]])
+        gram = GramMatrix([[2, 1], [1, 1000]])
         monkeypatch.setattr(theta, "_BLOCK", 1)
         clear_caches()
         pairs = [(2, 1000), (8, 1000), (1000, 1000), (1000, 1004), (18, 1024)]
@@ -818,7 +818,7 @@ class TestSparseHistogram:
         clear_caches()
 
 
-D4 = GramMatrix.from_rows([[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]])
+D4 = GramMatrix([[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]])
 
 
 # full_product_counts, computed once per Gram matrix and norm pair.
@@ -892,12 +892,12 @@ class TestPackedKernel:
     def test_step_above_one(self, digits, packed, force):
         # 2 S3: every product is even, so keys are products / 2.
         rows = builtin_lattice("S3").rows
-        gram = GramMatrix.from_rows([[2 * v for v in row] for row in rows])
+        gram = GramMatrix([[2 * v for v in row] for row in rows])
         force(digits)
         for a, b in PAIRS:
             want = full_counts(gram, 2 * a, 2 * b)
             assert want == {2 * r: n for r, n in
-                            full_counts(GramMatrix.from_rows(rows), a, b).items()}
+                            full_counts(GramMatrix(rows), a, b).items()}
             assert kernel_counts(gram, 2 * a, 2 * b) == want
         assert packed == {digits}
 
@@ -936,7 +936,7 @@ class TestPackedKernel:
 
         monkeypatch.setattr(theta, "_exact_dtype", spy)
         force(4)
-        gram = GramMatrix.from_rows([[c * v for v in row] for row in TOY3.rows])
+        gram = GramMatrix([[c * v for v in row] for row in TOY3.rows])
         want = {c * r: n for r, n in full_counts(TOY3, 6, 8).items()}
         assert kernel_counts(gram, 6 * c, 8 * c) == want
         assert products == {np.float64}

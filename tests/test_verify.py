@@ -37,7 +37,7 @@ def test_run_suites_calls_suites_through_module_globals(monkeypatch):
     def fake(name):
         def suite(*args):
             seen.append((name, args))
-            return SuiteReport(name, 0, ())
+            return SuiteReport(name, 0, 0, ())
         return suite
 
     for name in ("verify_local_sums", "verify_class_identities",
