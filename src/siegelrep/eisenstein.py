@@ -3,14 +3,14 @@
 For squarefree level N the basis is indexed by the ordered factorizations
 N = N0 * N1 * N2, one series per 0-cusp; the series for (N, 1, 1) is the one
 with constant term 1.  Coefficients are exact rationals indexed by positive
-semidefinite half-integral 2x2 matrices.  The closed formula multiplies a
-level 1 style divisor sum (of class-number values in the definite case, of
-powers in the rank 1 case) by one local factor per prime p dividing the
-level.  That factor depends only on the local data at p (the orders of p in
-the content and the conductor, and chi_D(p)) and on the slot of p in the
-partition, so each local factor function returns the triple of its values in
-slots 0, 1 and 2, and one term table per (level, k, delta, content) is shared
-by every partition of the level.
+semidefinite half-integral 2x2 matrices T.  The closed formula multiplies a
+level 1 style divisor sum (of class-number values if T is definite, of powers
+if it has rank 1) by one local factor per prime p dividing the level, which
+depends only on the orders of p in the content and the conductor, chi_D(p)
+and the slot of p in the partition.  So a value reads T only through
+(delta, content) and is memoized under (k, N0, N1, N2, delta, content); each
+local factor function returns its triple of values in slots 0, 1 and 2, and
+one term table per (level, k, delta, content) serves every partition.
 
 raise_level and the Hecke actions give independent evaluation routes; the
 verification suites compare them against the closed formula, which is the
@@ -204,27 +204,35 @@ def definite_local_factors(p: int, u: int, v: int, chi: int,
     return slot0, slot1, slot2
 
 
-@memo
 def fourier_coefficient(spec: EisensteinSpec, mat: HalfIntegralMatrix) -> Fraction:
-    """Coefficient of the basis series `spec` at the matrix `mat`.
-
-    Dispatch order: the zero matrix gives 1 exactly for the partition
-    (N, 1, 1) and 0 otherwise; rank 1 matrices use the singular local factors
-    with a power-divisor sum; definite matrices use the class-number divisor
-    sum over divisors of the content coprime to the level.
+    """Coefficient of the basis series `spec` at the matrix `mat`, which it
+    reads only through (delta, content): the memo, _coefficient, is keyed by
+    (k, n0, n1, n2, delta, content), and cache_info() reports its table.
+    The zero matrix (content 0) gives 1 exactly for the partition (N, 1, 1)
+    and 0 otherwise; rank 1 matrices use the singular local factors with a
+    power-divisor sum; definite matrices use the class-number divisor sum
+    over divisors of the content coprime to the level.
     """
     part = spec.partition
-    if mat.is_zero:
-        return Fraction(1) if part.n1 == 1 and part.n2 == 1 else Fraction(0)
-    local, num, den = _level_terms(part.level, spec.k, mat.delta, mat.content)
+    return _coefficient(spec.k, part.n0, part.n1, part.n2, mat.delta, mat.content)
+
+
+@memo
+def _coefficient(k: int, n0: int, n1: int, n2: int, delta: int, content: int) -> Fraction:
+    if content == 0:
+        return Fraction(1) if n1 == 1 and n2 == 1 else Fraction(0)
+    local, num, den = _level_terms(n0 * n1 * n2, k, delta, content)
     # Only the slot of each prime depends on the partition.  Factors are
     # multiplied as numerator and denominator ints; the one Fraction built
     # is the value itself.
     for p, by_slot in local:
-        factor = by_slot[0 if part.n0 % p == 0 else 1 if part.n1 % p == 0 else 2]
+        factor = by_slot[0 if n0 % p == 0 else 1 if n1 % p == 0 else 2]
         num *= factor.numerator
         den *= factor.denominator
     return Fraction(num, den)
+
+
+fourier_coefficient.cache_info = _coefficient.cache_info
 
 
 @memo

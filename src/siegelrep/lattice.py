@@ -13,7 +13,6 @@ lower-triangular tuples and decoded on demand.
 from __future__ import annotations
 
 import math
-import numbers
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -28,8 +27,8 @@ from .eisenstein import (
     fourier_coefficient,
     partitions_of_level,
 )
-from .exactmath import (integers, is_prime, is_squarefree, kronecker_symbol, memo,
-                         prime_divisors, valuation)
+from .exactmath import (integers, is_squarefree, kronecker_symbol, memo, prime_divisors,
+                         require_prime, valuation)
 
 __all__ = [
     "GramMatrix",
@@ -195,9 +194,10 @@ def hilbert_symbol(a, b, p) -> int:
         raise ValueError("hilbert_symbol needs nonzero arguments")
     if p == "infinity" or p == math.inf:
         return -1 if a < 0 and b < 0 else 1
-    if not isinstance(p, numbers.Integral) or not is_prime(int(p)):
-        raise ValueError('p must be a prime or "infinity"')
-    p = int(p)
+    try:
+        p = require_prime(p)
+    except ValueError:
+        raise ValueError('p must be a prime or "infinity"') from None
     alpha, u = _unit_split(a, p)
     beta, v = _unit_split(b, p)
     if p == 2:

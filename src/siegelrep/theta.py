@@ -65,7 +65,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .eisenstein import HalfIntegralMatrix
-from .exactmath import CLEARERS, memo
+from .exactmath import CLEARERS, integers, memo
 from .lattice import GramMatrix
 
 __all__ = ["PAIR_GUARD", "VECTOR_GUARD", "VectorGuardError", "VectorShell", "shells",
@@ -344,6 +344,7 @@ def _ensure(gram: GramMatrix, max_norm: int) -> dict[int, np.ndarray]:
 def shells(gram: GramMatrix, max_norm: int) -> list[VectorShell]:
     """Complete nonempty shells of nonzero vectors with norm up to max_norm.
     Raises VectorGuardError if they hold more than VECTOR_GUARD vectors."""
+    max_norm = max_norm if type(max_norm) is int else integers((max_norm,), "shells arguments")[0]
     if max_norm <= 0:
         raise ValueError("max_norm must be positive")
     by_norm = _ensure(gram, max_norm)
@@ -356,6 +357,7 @@ def rep_deg1(gram: GramMatrix, m: int) -> int:
     Extends the cached shells as needed, so a large m is never a silent 0;
     a search past VECTOR_GUARD raises VectorGuardError instead.
     """
+    m = m if type(m) is int else integers((m,), "rep_deg1 arguments")[0]
     if m < 1:
         raise ValueError("m must be positive")
     half = _ensure(gram, 2 * m).get(2 * m)

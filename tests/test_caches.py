@@ -36,13 +36,16 @@ T111 = HalfIntegralMatrix(1, 1, 1)
 
 
 def memo_tables():
-    """Every object with cache_info in the namespace of a siegelrep module."""
+    """Every memo table behind an object with cache_info in the namespace of
+    a siegelrep module.  A front that shares a table's cache_info (as
+    fourier_coefficient shares _coefficient's) counts as that table."""
     found = set()
     for info in pkgutil.iter_modules(siegelrep.__path__):
         if info.name == "__main__":
             continue
         mod = importlib.import_module(f"siegelrep.{info.name}")
-        found.update(obj for obj in vars(mod).values() if hasattr(obj, "cache_info"))
+        found.update(obj.cache_info.__self__ for obj in vars(mod).values()
+                     if hasattr(obj, "cache_info"))
     return found
 
 

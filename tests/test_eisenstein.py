@@ -11,6 +11,7 @@ from siegelrep.eisenstein import (
     EisensteinSpec,
     HalfIntegralMatrix,
     LevelPartition,
+    _coefficient,
     definite_local_factors,
     fourier_coefficient,
     hecke_tp,
@@ -21,6 +22,9 @@ from siegelrep.eisenstein import (
     reduced_representatives,
     singular_local_factors,
 )
+from siegelrep.exactmath import clear_caches, is_squarefree
+from siegelrep.lattice import BUILTIN_NAMES, builtin_lattice, genus_rep_number
+from siegelrep.theta import rep_deg2
 from siegelrep.verify import HECKE_GRID, VerifyBounds, verify_coefficient_identities
 
 K4_LEVEL1 = EisensteinSpec(4, LevelPartition(1, 1, 1))
@@ -221,6 +225,63 @@ class TestCoefficient:
                 base = fourier_coefficient(spec, t)
                 for mv in moves:
                     assert fourier_coefficient(spec, t.transformed(mv)) == base
+
+
+# (1, 0, 5) and (2, 2, 3) share delta = 20 and content 1 but are not
+# GL2(Z)-equivalent; (2, -2, 3) is the improper twin of (2, 2, 3).
+NON_EQUIVALENT = (HalfIntegralMatrix(1, 0, 5), HalfIntegralMatrix(2, 2, 3),
+                  HalfIntegralMatrix(2, -2, 3))
+
+
+class TestCoefficientKey:
+    """A coefficient reads T only through (delta, content), so the memo is
+    keyed by (k, n0, n1, n2, delta, content) and not by the matrix."""
+
+    @staticmethod
+    def sweep(reverse=False):
+        """Every partition of every squarefree level <= 30 at k = 4 and 6,
+        at the T of `coeff --delta-max 60 --all-classes` (the pairs above
+        among them), in sweep order or reversed."""
+        mats = reduced_representatives(60, 6, include_zero=True, all_classes=True)
+        assert set(NON_EQUIVALENT) <= set(mats)
+        specs = [EisensteinSpec(k, part) for level in range(1, 31) if is_squarefree(level)
+                 for part in partitions_of_level(level) for k in (4, 6)]
+        cases = [(spec, t) for spec in specs for t in mats]
+        return {case: fourier_coefficient(*case)
+                for case in (reversed(cases) if reverse else cases)}
+
+    def test_equal_key_gives_equal_value(self):
+        clear_caches()
+        values = self.sweep()
+        by_key = {}
+        for (spec, t), value in values.items():
+            by_key.setdefault((spec, t.delta, t.content), set()).add(value)
+        assert all(len(seen) == 1 for seen in by_key.values())
+        # 121 partitions at two weights, and the 111 T fall in 47 keys
+        assert len(values) == 242 * 111
+        assert len(by_key) == 242 * 47
+        # each value is computed once per key: whichever T of a key comes
+        # first, reversing the order from empty tables gives the same values
+        clear_caches()
+        assert self.sweep(reverse=True) == values
+
+    def test_cache_info_reads_the_key_table(self):
+        assert fourier_coefficient.cache_info.__self__ is _coefficient
+        clear_caches()
+        spec = EisensteinSpec(4, LevelPartition(2, 3, 5))
+        values = [fourier_coefficient(spec, t) for t in NON_EQUIVALENT]
+        assert values[0] == values[1] == values[2] != 0
+        info = fourier_coefficient.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (2, 1, 1)
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_enumeration_agrees_on_non_equivalent_pairs(self, name):
+        # an independent route that reads all of T: the vector counts of a
+        # one-class genus at T of equal (delta, content) agree, and equal
+        # the formula
+        gram = builtin_lattice(name)
+        counts = {rep_deg2(gram, t) for t in NON_EQUIVALENT}
+        assert counts == {genus_rep_number(gram, NON_EQUIVALENT[0])}
 
 
 class TestRaiseLevel:

@@ -8,7 +8,9 @@ the case of the same name; exit_codes.json maps every case to its exit code.
 The verify cases set every VerifyBounds field to a value that changes a
 check count, and all exit 0.  So does the S1 count at T = (4, 1, 4), whose
 norms 8 x 8 run the packed pair kernel (three cross products per float32
-product, K = 17); its files were written by the unpacked kernel.
+product, K = 17); its files were written by the unpacked kernel.  The
+level 30 coeff case with --all-classes was written while coefficients were
+memoized by matrix; most of its T share a (delta, content) key with another.
 """
 
 import json
@@ -23,6 +25,8 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 _COMMANDS = {
     "coeff_k4_p2-3-1_d20": ["coeff", "-k", "4", "-p", "2,3,1", "--delta-max", "20"],
     "coeff_k6_p1-1-1_d30": ["coeff", "-k", "6", "-p", "1,1,1", "--delta-max", "30"],
+    "coeff_k4_p2-3-5_d60_all": ["coeff", "-k", "4", "-p", "2,3,5", "--delta-max", "60",
+                                "--all-classes"],
     **{f"rep_{name}_T{m}-{r}-{n}": ["rep", "--lattice", name, "-T", f"{m},{r},{n}",
                                     "--mode", "both"]
        for name in ("S1", "S2", "S3", "S4", "S5")

@@ -204,11 +204,15 @@ class TestHilbertSymbol:
         with pytest.raises(ValueError, match="p must be a prime"):
             hasse_invariant(builtin_lattice("S2"), p)
 
-    @pytest.mark.parametrize("p", [2.5, 3.9, Fraction(7, 2)])
+    @pytest.mark.parametrize("p", [2.5, 3.9, Fraction(7, 2), 2.0, "3"])
     def test_rejects_non_integral(self, p):
-        # int() would truncate these to the primes 2, 3 and 3
-        with pytest.raises(ValueError, match="p must be a prime"):
+        # int() would turn these into the primes 2, 3, 3, 2 and 3;
+        # exactmath.require_prime refuses them
+        with pytest.raises(ValueError, match='p must be a prime or "infinity"'):
             hilbert_symbol(3, 5, p)
+
+    def test_numpy_prime_accepted(self):
+        assert hilbert_symbol(2, 3, np.int64(3)) == hilbert_symbol(2, 3, 3) == -1
 
     @given(nonzero_fractions(), nonzero_fractions(), nonzero_fractions(),
            st.sampled_from([2, 3, 5, 7, "infinity"]))

@@ -86,6 +86,13 @@ class TestShells:
         with pytest.raises(ValueError):
             shells(DIAG22, 0)
 
+    def test_integer_bound(self):
+        # 4.5 used to raise TypeError from inside the search
+        with pytest.raises(ValueError, match="shells arguments must be integers"):
+            shells(builtin_lattice("S1"), 4.5)
+        norms = [shell.norm for shell in shells(builtin_lattice("S1"), np.int64(4))]
+        assert norms == [2, 4] and all(type(q) is int for q in norms)
+
     def test_cached_vectors_are_read_only(self):
         # zeroing the cached norm 2 shell of S3 used to turn 6944 into 12544
         g3 = builtin_lattice("S3")
@@ -114,6 +121,12 @@ class TestRepDeg1:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             rep_deg1(DIAG22, 0)
+
+    def test_integer_argument(self):
+        # 1.5 used to return 0, the count at the norm 3 that no vector has
+        with pytest.raises(ValueError, match="rep_deg1 arguments must be integers"):
+            rep_deg1(builtin_lattice("S1"), 1.5)
+        assert rep_deg1(builtin_lattice("S1"), np.int64(1)) == 240
 
 
 class TestRepDeg2:
