@@ -80,7 +80,6 @@ def _class_divisor_sum(shared: int, k: int, disc: int, conductor: int) -> int:
     return acc
 
 
-@memo
 def cohen_h_level(level: int, k: int, m: int) -> Fraction:
     """Class-number sum with divisors restricted to integers coprime to level.
 
@@ -94,6 +93,9 @@ def cohen_h_level(level: int, k: int, m: int) -> Fraction:
     dec = decompose_discriminant(m)
     acc = class_divisor_sum(level, k, dec.disc, dec.conductor)
     return l_negative(k - 1, dec.disc) * acc
+
+
+cohen_h_level.cache_info = _class_divisor_sum.cache_info
 
 
 def local_correction(p: int, chi: int, v: int, k: int) -> int:

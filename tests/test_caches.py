@@ -38,7 +38,8 @@ T111 = HalfIntegralMatrix(1, 1, 1)
 def memo_tables():
     """Every memo table behind an object with cache_info in the namespace of
     a siegelrep module.  A front that shares a table's cache_info (as
-    fourier_coefficient shares _coefficient's) counts as that table."""
+    fourier_coefficient shares _coefficient's, and cohen_h_level
+    _class_divisor_sum's) counts as that table."""
     found = set()
     for info in pkgutil.iter_modules(siegelrep.__path__):
         if info.name == "__main__":
@@ -61,10 +62,10 @@ def sample_values():
 
 def test_every_cache_is_registered():
     tables = memo_tables()
-    assert len(tables) == 12
+    assert len(tables) == 11
     assert all(table.cache_clear in CLEARERS for table in tables)
-    # the 12 memo tables plus theta's shell store
-    assert len(CLEARERS) == 13
+    # the 11 memo tables plus theta's shell store
+    assert len(CLEARERS) == 12
 
 
 def test_only_exactmath_imports_functools_caching():
@@ -171,6 +172,14 @@ def test_float_arguments_refused(cold, bad, message, good):
     value = good()
     assert value == recomputed(good)
     assert all(type(x) in (int, Fraction) for x in scalars(value))
+
+
+def test_warm_cohen_h_level_refuses_a_float(cold):
+    # A memoized cohen_h_level checked its arguments on a miss only, so a
+    # float that hit a warm entry returned Fraction(-16, 7).
+    cohen_h_level(1, 4, 7)
+    with pytest.raises(ValueError, match="^cohen_h_level arguments must be integers$"):
+        cohen_h_level(1, 4.0, 7)
 
 
 # numpy ints used to wrap around in the memoized arithmetic, without a

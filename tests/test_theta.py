@@ -1,3 +1,4 @@
+import collections
 import functools
 import hashlib
 import itertools
@@ -240,12 +241,18 @@ def recursive_walk(gram, max_norm):
 
 
 def full_product_counts(gram, norm_a, norm_b):
-    """{r: number of (x, y) with norms (norm_a, norm_b) and x' S y = r}."""
+    """{r: number of (x, y) with norms (norm_a, norm_b) and x' S y = r}, in
+    int64 when max |x| * sum |S_ij| * max |y|, a bound on every partial sum,
+    is below 2^63, else in Python ints."""
     lo, hi = sorted((norm_a, norm_b))
     by_norm = recursive_walk(gram, hi)
     va, vb = by_norm.get(lo), by_norm.get(hi)
     if va is None or vb is None:
         return {}
+    entry_sum = sum(abs(v) for row in gram.rows for v in row)
+    if int(np.abs(va).max()) * entry_sum * int(np.abs(vb).max()) >= 2 ** 63:
+        prods = (va.astype(object) @ np.array(gram.rows, dtype=object)) @ vb.T.astype(object)
+        return dict(collections.Counter(prods.ravel().tolist()))
     bound = isqrt(lo * hi)
     prods = (va @ np.array(gram.rows, dtype=np.int64)) @ vb.T
     hist = np.bincount((prods + bound).ravel(), minlength=2 * bound + 1)
@@ -358,24 +365,47 @@ TIER_MATS = [HalfIntegralMatrix(m, r, n)
              for m in range(1, 5) for n in range(m, 5) for r in range(-m, m + 1)]
 
 
+@pytest.fixture
+def chosen(monkeypatch):
+    """The (floats allowed, dtype) choices made from now on."""
+    seen = set()
+    pick = theta._exact_dtype
+
+    def spy(bound, floats=False):
+        dtype = pick(bound, floats)
+        seen.add((floats, dtype))
+        return dtype
+
+    monkeypatch.setattr(theta, "_exact_dtype", spy)
+    return seen
+
+
+def product_dtypes(chosen):
+    return {dtype for floats, dtype in chosen if floats}
+
+
+@pytest.fixture
+def packed(monkeypatch):
+    """The digit counts p chosen from now on."""
+    seen = set()
+    pick = theta._pack_width
+
+    def spy(base, prod_bound):
+        digits = pick(base, prod_bound)
+        seen.add(digits)
+        return digits
+
+    monkeypatch.setattr(theta, "_pack_width", spy)
+    return seen
+
+
 class TestExactTiers:
-    """Scaling S and T by c changes no count, while the bounds move every
-    step from float32/int64 to float64/int64 (c = 2^30), to int64 (c = 2^55)
-    and to Python ints (2^70)."""
-
-    @pytest.fixture
-    def chosen(self, monkeypatch):
-        """The (floats allowed, dtype) choices made from now on."""
-        seen = set()
-        pick = theta._exact_dtype
-
-        def spy(bound, floats=False):
-            dtype = pick(bound, floats)
-            seen.add((floats, dtype))
-            return dtype
-
-        monkeypatch.setattr(theta, "_exact_dtype", spy)
-        return seen
+    """Scaling S and T by c changes no count and, as the products are taken
+    on S divided by the gcd of its entries, no product dtype; only the
+    search's bounds move with c, to Python ints at c = 2^70.  skewed_a2(k)
+    is A2 in another basis: its products x' S y are A2's, while x' S and the
+    packed sums grow with k, so k moves the products from float32 (k = 1)
+    to float64 (2^12), int64 (2^26) and Python ints (2^31)."""
 
     def test_norm_bound_alone_leaves_int64(self, chosen):
         # A2 scaled by c = 2^60: every entry of the split form fits int64,
@@ -400,9 +430,9 @@ class TestExactTiers:
     @pytest.mark.parametrize("rows", [A2.rows, TOY3.rows], ids=["A2", "TOY3"])
     @pytest.mark.parametrize("c, tiers", [
         (1, {(False, np.int64), (True, np.float32)}),
-        (2 ** 30, {(False, np.int64), (True, np.float64)}),
-        (2 ** 55, {(False, np.int64), (True, np.int64)}),
-        (2 ** 70, {(False, object), (True, object)}),
+        (2 ** 30, {(False, np.int64), (True, np.float32)}),
+        (2 ** 55, {(False, np.int64), (True, np.float32)}),
+        (2 ** 70, {(False, object), (False, np.int64), (True, np.float32)}),
     ], ids=["1", "2^30", "2^55", "2^70"])
     def test_scaled_gram(self, rows, c, tiers, chosen):
         base = GramMatrix(rows)
@@ -422,34 +452,44 @@ class TestExactTiers:
             assert b.vectors.dtype == np.int64 and not b.vectors.flags.writeable
             assert np.array_equal(a.vectors, b.vectors)
 
+    @pytest.mark.parametrize("k, dtype", [
+        (1, np.float32), (2 ** 12, np.float64), (2 ** 26, np.int64), (2 ** 31, object)],
+        ids=["1", "2^12", "2^26", "2^31"])
+    def test_primitive_tiers(self, k, dtype, chosen):
+        gram = skewed_a2(k)
+        clear_caches()
+        for a, b in [(2, 6), (6, 6)]:
+            chosen.clear()
+            assert kernel_counts(gram, a, b) == full_product_counts(gram, a, b)
+            assert product_dtypes(chosen) == {dtype}
+        clear_caches()
 
-    # TOY3 scaled by c at norms 6c x 6c: K = 13 keys, p = 4 digits, and the
-    # packed sums are bounded by (1 + 13 + 13^2 + 13^3) * 28c = 66,640c, below
-    # 2^24 up to c = 251.  The bound is not tight: float32 still counts right
-    # at c = 252 and, with one BLAS thread, first miscounts at c = 599.
-    @pytest.mark.parametrize("c, dtype", [(251, np.float32), (252, np.float64)])
-    def test_float32_bound(self, c, dtype, chosen):
-        gram = GramMatrix([[c * v for v in row] for row in TOY3.rows])
-        want = {c * r: n for r, n in full_product_counts(TOY3, 6, 6).items()}
+    # skewed_a2(k) at norms 2 x 6: K = 7 keys, p = 4 digits, and the packed
+    # sums are bounded by (1 + 7 + 7^2 + 7^3) * prod_bound = 16,562,400 at
+    # k = 100 and 16,889,600 at k = 101, on either side of 2^24.  The bound
+    # is not tight: float32 first miscounts at k = 52,103.
+    @pytest.mark.parametrize("k, dtype", [(100, np.float32), (101, np.float64)])
+    def test_float32_bound(self, k, dtype, chosen):
+        gram = skewed_a2(k)
         clear_caches()
         chosen.clear()
-        assert kernel_counts(gram, 6 * c, 6 * c) == want
-        assert {d for floats, d in chosen if floats} == {dtype}
+        assert kernel_counts(gram, 2, 6) == full_product_counts(gram, 2, 6)
+        assert product_dtypes(chosen) == {dtype}
         clear_caches()
 
     def test_float32_past_its_bound_miscounts(self, monkeypatch):
-        # At c = 1001 some packed sums are odd integers above 2^24, which
-        # float32 cannot hold; in any summation order they round and keys move.
-        c = 1001
-        gram = GramMatrix([[c * v for v in row] for row in TOY3.rows])
-        want = {c * r: n for r, n in full_product_counts(TOY3, 6, 6).items()}
+        # At k = 2^16 the packed sums reach 400 * 17,180,786,694, far past
+        # 2^24; float32 cannot hold them all, and in any summation order some
+        # round and keys move.
+        gram = skewed_a2(2 ** 16)
+        want = full_product_counts(gram, 2, 6)
         pick = theta._exact_dtype
         clear_caches()
-        assert kernel_counts(gram, 6 * c, 6 * c) == want
+        assert kernel_counts(gram, 2, 6) == want
         monkeypatch.setattr(theta, "_exact_dtype",
                             lambda bound, floats=False: np.float32 if floats else pick(bound))
         clear_caches()
-        assert kernel_counts(gram, 6 * c, 6 * c) != want
+        assert kernel_counts(gram, 2, 6) != want
         clear_caches()
 
 
@@ -839,22 +879,8 @@ full_counts = functools.cache(full_product_counts)
 
 
 class TestPackedKernel:
-    """Dense float64 products carry p cross products each, as base-K digits
+    """Dense float products carry p cross products each, as base-K digits
     with K = 2 bound + 1; every p must give the counts of full products."""
-
-    @pytest.fixture
-    def packed(self, monkeypatch):
-        """The digit counts p chosen from now on."""
-        seen = set()
-        pick = theta._pack_width
-
-        def spy(base, prod_bound):
-            digits = pick(base, prod_bound)
-            seen.add(digits)
-            return digits
-
-        monkeypatch.setattr(theta, "_pack_width", spy)
-        return seen
 
     @pytest.fixture
     def force(self, monkeypatch):
@@ -934,23 +960,28 @@ class TestPackedKernel:
         assert kernel_counts(TOY3, 6, 6) == full_counts(TOY3, 6, 6)
         assert packed == {digits}
 
-    @pytest.mark.parametrize("c, digits", [(2 ** 44, 2), (2 ** 46, 1)])
-    def test_float_bound_forces_one_digit(self, c, digits, packed, force, monkeypatch):
-        # TOY3 scaled by c: products stay below 2^53 in float64, but at
-        # c = 2^46 two packed digits would not.
-        products = set()
-        pick = theta._exact_dtype
-
-        def spy(bound, floats=False):
-            dtype = pick(bound, floats)
-            if floats:
-                products.add(dtype)
-            return dtype
-
-        monkeypatch.setattr(theta, "_exact_dtype", spy)
+    @pytest.mark.parametrize("k, digits", [(16_777_214, 2), (16_777_215, 1)])
+    def test_float_bound_forces_one_digit(self, k, digits, packed, chosen, force):
+        # skewed_a2(k) at norms 2 x 6: products stay below 2^53 in float64,
+        # but two packed digits, (1 + 7) * prod_bound, pass it from
+        # k = 16,777,215 on.
         force(4)
-        gram = GramMatrix([[c * v for v in row] for row in TOY3.rows])
-        want = {c * r: n for r, n in full_counts(TOY3, 6, 8).items()}
-        assert kernel_counts(gram, 6 * c, 8 * c) == want
-        assert products == {np.float64}
+        gram = skewed_a2(k)
+        assert kernel_counts(gram, 2, 6) == full_counts(gram, 2, 6)
+        assert product_dtypes(chosen) == {np.float64}
         assert packed == {digits}
+
+    @pytest.mark.parametrize("c", [2, 3, 500])
+    @pytest.mark.parametrize("name, a, b, digits", [("S1", 8, 8, 3), ("TOY3", 6, 6, 4)])
+    def test_content_divided_out(self, name, a, b, digits, c, packed, chosen, force):
+        # c S is multiplied as S: the same digits, the same float32 products,
+        # and the histogram of S with every r times c.
+        gram = TOY3 if name == "TOY3" else builtin_lattice(name)
+        scaled = GramMatrix([[c * v for v in row] for row in gram.rows])
+        force(4)
+        want = kernel_counts(gram, a, b)
+        assert (packed, product_dtypes(chosen)) == ({digits}, {np.float32})
+        packed.clear()
+        chosen.clear()
+        assert kernel_counts(scaled, c * a, c * b) == {c * r: n for r, n in want.items()}
+        assert (packed, product_dtypes(chosen)) == ({digits}, {np.float32})
